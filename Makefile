@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check lint vet build test race bench overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared
+.PHONY: check lint vet build test race stress bench overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared
 
 ## check: everything CI runs except server-smoke — lint, build, full tests, race, telemetry-overhead smoke
 check: lint build test race overhead
@@ -25,6 +25,10 @@ test:
 ## race: the concurrent subsystems — executor, engine, storage, network server, WAL, replication — under the race detector
 race:
 	$(GO) test -race ./internal/exec/ ./internal/engine/ ./internal/faultinject/ ./internal/storage/ ./internal/server/ ./internal/wal/ ./internal/repl/ ./internal/cluster/ ./internal/retry/
+
+## stress: the timing-sensitive packages — cluster router, replication, network server, WAL — ten times over; a failure is a bug to fix, not a flake to retry
+stress:
+	$(GO) test -count=10 ./internal/cluster/ ./internal/repl/ ./internal/server/ ./internal/wal/
 
 ## overhead: assert the disarmed operator-stats path AND the armed histogram path each add <2% to the vectorized filter+agg workload
 overhead:

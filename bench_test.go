@@ -240,7 +240,7 @@ func BenchmarkInstantLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotSaveLoad measures database image round trips.
+// BenchmarkSnapshotSaveLoad measures checkpoint image round trips.
 func BenchmarkSnapshotSaveLoad(b *testing.B) {
 	db := engine.Open()
 	data := workload.UniformVectors(100_000, 4, 11)
@@ -250,7 +250,7 @@ func BenchmarkSnapshotSaveLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		if err := persist.Save(db.Store(), &buf); err != nil {
+		if err := persist.SavePhysical(db.Store(), &buf, db.Store().Snapshot()); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := persist.Load(&buf); err != nil {

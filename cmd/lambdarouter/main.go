@@ -1,9 +1,9 @@
 // Command lambdarouter fronts a lambdadb cluster: clients connect to it
 // with the ordinary wire protocol (sqlshell -connect, the Go client) and
 // the router does the rest — writes go to the current primary, reads
-// spread across lag-healthy replicas with read-your-writes preserved, and
-// when the primary dies the router promotes the most-caught-up replica
-// under a freshly fenced epoch and re-points the survivors.
+// spread across lag-healthy replicas and see every write acked before
+// them, and when the primary dies the router promotes the most-caught-up
+// replica under a freshly fenced epoch and re-points the survivors.
 //
 // Usage:
 //

@@ -40,7 +40,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":5433", "TCP listen address")
 		adminAddr   = flag.String("admin-addr", "", "admin HTTP listen address (/metrics, /healthz, /readyz, /debug/pprof); empty = disabled")
-		image       = flag.String("db", "", "open this database snapshot image instead of starting empty")
 		dataDir     = flag.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); empty = in-memory")
 		replicaOf   = flag.String("replica-of", "", "run as a read replica streaming from this primary (host:port); requires -data-dir")
 		ckptEvery   = flag.Duration("checkpoint-interval", 0, "checkpoint the data directory this often (0 = manual CHECKPOINT only)")
@@ -118,23 +117,15 @@ func main() {
 
 	var db *engine.DB
 	var err error
-	switch {
-	case *dataDir != "":
-		if *image != "" {
-			fatal(fmt.Errorf("-db and -data-dir are mutually exclusive"))
-		}
+	if *dataDir == "" {
+		db = engine.Open(opts...)
+	} else {
 		if db, err = engine.OpenDir(*dataDir, opts...); err != nil {
 			fatal(err)
 		}
 		if summary, ok := db.RecoverySummary(); ok {
 			fmt.Fprintf(os.Stderr, "lambdaserver: %s: %s\n", *dataDir, summary)
 		}
-	case *image != "":
-		if db, err = engine.OpenFile(*image, opts...); err != nil {
-			fatal(err)
-		}
-	default:
-		db = engine.Open(opts...)
 	}
 	if *initScript != "" {
 		script, err := os.ReadFile(*initScript)

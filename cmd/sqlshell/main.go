@@ -4,7 +4,8 @@
 //
 // Usage:
 //
-//	sqlshell                        # interactive, embedded engine
+//	sqlshell                        # interactive, embedded in-memory engine
+//	sqlshell -data-dir ./data       # embedded engine, durable (WAL + checkpoints)
 //	sqlshell -f file.sql            # execute a script, print results
 //	sqlshell -connect localhost:5433  # talk to a running lambdaserver
 //
@@ -12,7 +13,9 @@
 // indexes + ANALYZE statistics (works over -connect too), \explain
 // SELECT ... show the optimized plan, \timing toggle per-statement
 // timing, \stats show the per-operator stats of the last statement,
-// \replication show replication role and progress (works over -connect),
+// \checkpoint checkpoint a durable (-data-dir) database (over -connect, run
+// the CHECKPOINT statement), \replication show replication role and
+// progress (works over -connect),
 // \metrics show engine counters and latency percentiles, \health probe a
 // server's admin endpoint (-admin or \health host:port).
 //
@@ -139,7 +142,6 @@ func main() {
 		file    = flag.String("f", "", "execute this SQL script instead of reading stdin")
 		timing  = flag.Bool("timing", false, "print per-statement wall time")
 		workers = flag.Int("workers", 0, "parallelism degree (0 = GOMAXPROCS)")
-		image   = flag.String("db", "", "open this database snapshot image (see \\save)")
 		dataDir = flag.String("data-dir", "", "durable data directory (write-ahead log + checkpoints); empty = in-memory")
 		connect = flag.String("connect", "", "connect to a lambdaserver at host:port instead of running an embedded engine")
 		admin   = flag.String("admin", "", "lambdaserver admin endpoint (host:port) for \\health")
@@ -152,8 +154,8 @@ func main() {
 
 	// Remote mode: no local engine at all; statements go over TCP.
 	if *connect != "" {
-		if *workers > 0 || *image != "" || *dataDir != "" {
-			fmt.Fprintln(os.Stderr, "warning: -workers, -db and -data-dir configure the embedded engine and are ignored with -connect (set them on lambdaserver)")
+		if *workers > 0 || *dataDir != "" {
+			fmt.Fprintln(os.Stderr, "warning: -workers and -data-dir configure the embedded engine and are ignored with -connect (set them on lambdaserver)")
 		}
 		remote := &remoteExec{addr: *connect}
 		defer remote.close()
@@ -171,12 +173,9 @@ func main() {
 		opts = append(opts, engine.WithWorkers(*workers))
 	}
 	var db *engine.DB
-	switch {
-	case *dataDir != "":
-		if *image != "" {
-			fmt.Fprintln(os.Stderr, "-db and -data-dir are mutually exclusive")
-			os.Exit(1)
-		}
+	if *dataDir == "" {
+		db = engine.Open(opts...)
+	} else {
 		var err error
 		if db, err = engine.OpenDir(*dataDir, opts...); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -186,14 +185,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %s\n", *dataDir, summary)
 		}
 		defer db.Close()
-	case *image != "":
-		var err error
-		if db, err = engine.OpenFile(*image, opts...); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	default:
-		db = engine.Open(opts...)
 	}
 	session := db.NewSession()
 	defer session.Close()
@@ -316,8 +307,8 @@ func interactive(banner string, db *engine.DB, session *engine.Session, ex execu
 	fmt.Println(`type \q to quit, \d to list tables, \d <table> for indexes and stats,`)
 	fmt.Println(`\explain <select> for plans,`)
 	fmt.Println(`\timing to toggle timing, \stats for the last statement's operator stats,`)
-	fmt.Println(`\save <path> to snapshot the database, \checkpoint to checkpoint a`)
-	fmt.Println(`durable one (-data-dir), \replication for replication status,`)
+	fmt.Println(`\checkpoint to checkpoint a durable database (-data-dir),`)
+	fmt.Println(`\replication for replication status,`)
 	fmt.Println(`\metrics for engine counters and latency percentiles,`)
 	fmt.Println(`\prepare for this session's prepared statements and the plan cache,`)
 	fmt.Println(`\health [host:port] to probe a server's admin endpoint;`)
@@ -412,16 +403,6 @@ func metaCommand(db *engine.DB, session *engine.Session, ex executor, cmd string
 		} else {
 			fmt.Printf("checkpoint at clock %d (%d old log segment(s) removed)\n",
 				stats.Clock, stats.SegmentsRemoved)
-		}
-	case strings.HasPrefix(cmd, `\save `):
-		if !local() {
-			break
-		}
-		path := strings.TrimSpace(strings.TrimPrefix(cmd, `\save `))
-		if err := db.Save(path); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-		} else {
-			fmt.Printf("saved snapshot to %s\n", path)
 		}
 	case cmd == `\replication`:
 		// Plain SQL against system.replication, so it works both embedded

@@ -192,6 +192,45 @@ func TestRouterRoutesAndReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestRouterClassifiesExplainAnalyzeWrites: EXPLAIN ANALYZE executes its
+// statement, so EXPLAIN ANALYZE INSERT is a write and must reach the
+// primary; plain EXPLAIN and EXPLAIN ANALYZE SELECT stay reads.
+func TestRouterClassifiesExplainAnalyzeWrites(t *testing.T) {
+	_, rt, m := startCluster(t)
+	if _, err := execOn(t, rt.Addr(), "CREATE TABLE kv (k INT, v INT)"); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+
+	writes := m.RouterWritesRouted.Load()
+	if _, err := execOn(t, rt.Addr(), "EXPLAIN ANALYZE INSERT INTO kv VALUES (1, 1)"); err != nil {
+		t.Fatalf("EXPLAIN ANALYZE INSERT through the router: %v", err)
+	}
+	if got := m.RouterWritesRouted.Load(); got != writes+1 {
+		t.Fatalf("router_writes_routed = %d, want %d (routed to the primary)", got, writes+1)
+	}
+	res, err := execOn(t, rt.Addr(), "SELECT COUNT(*) FROM kv")
+	if err != nil {
+		t.Fatalf("count: %v", err)
+	}
+	if got := res.Rows[0][0].AsInt(); got != 1 {
+		t.Fatalf("count after EXPLAIN ANALYZE INSERT = %d, want 1", got)
+	}
+
+	writes = m.RouterWritesRouted.Load()
+	for _, q := range []string{
+		"EXPLAIN SELECT * FROM kv",
+		"EXPLAIN ANALYZE SELECT * FROM kv",
+		"EXPLAIN INSERT INTO kv VALUES (2, 2)",
+	} {
+		if _, err := execOn(t, rt.Addr(), q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	if got := m.RouterWritesRouted.Load(); got != writes {
+		t.Fatalf("read-only EXPLAINs routed as writes: router_writes_routed %d -> %d", writes, got)
+	}
+}
+
 func TestRouterFailoverFencingAndRejoin(t *testing.T) {
 	nodes, rt, m := startCluster(t)
 	n1 := nodes[0]

@@ -424,7 +424,7 @@ func (b *backendConn) roundTrip(typ byte, payload []byte) (byte, []byte, error) 
 }
 
 // queryClock asks the backend (assumed primary) for its current commit
-// clock — the read-your-writes barrier for this session.
+// clock — the barrier replica reads wait for (see refreshBarrier).
 func (b *backendConn) queryClock() (uint64, error) {
 	if err := b.nc.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		return 0, err

@@ -6,8 +6,8 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lambdadb/internal/retry"
@@ -69,7 +69,7 @@ func (c *RouterConfig) defaults() {
 
 // Router is the cluster's client-facing front end. It speaks the ordinary
 // wire protocol; clients connect to it exactly as they would to a single
-// lambdaserver. Per request it classifies the statement text: reads fan
+// lambdaserver. Per request it classifies the parsed statements: reads fan
 // out over lag-healthy replicas (transparently retried elsewhere on
 // failure — reads are idempotent), writes stick to the current primary and
 // are never replayed (a connection lost mid-write surfaces as a
@@ -91,6 +91,20 @@ type Router struct {
 	primary *backend // current believed primary; nil when none electable
 	rr      int      // read round-robin cursor
 	conns   map[net.Conn]struct{}
+
+	// writeGen counts the writes the router has relayed a primary's answer
+	// for, from any session. A session whose last read barrier predates the
+	// current generation refreshes it before its next replica read, so
+	// anything acked through the router is visible to every later read
+	// through it (see refreshBarrier).
+	writeGen atomic.Uint64
+
+	// barrierMu guards the newest barrier any session fetched: the
+	// primary's commit clock, read after the write generation had reached
+	// barrierGen. Sessions behind it reuse it instead of asking the primary.
+	barrierMu    sync.Mutex
+	barrierGen   uint64
+	barrierClock uint64
 }
 
 // NewRouter validates cfg and prepares a router; Listen + Serve run it.
@@ -184,12 +198,10 @@ type session struct {
 	rt    *Router
 	inTxn bool // BEGIN seen; everything sticks to the primary until it ends
 
-	// dirty marks that this session has written since its last read
-	// barrier; the next replica-bound read first fetches the primary's
-	// commit clock and prefixes WAIT FOR CLOCK so the session reads its own
-	// writes.
-	dirty   bool
-	barrier uint64
+	// barrier is the commit clock replica reads wait for (WAIT FOR CLOCK),
+	// valid for every write up to router write generation barrierGen.
+	barrier    uint64
+	barrierGen uint64
 
 	primaryConn *backendConn            // sticky write connection
 	readConns   map[string]*backendConn // per-replica read connections
@@ -236,7 +248,7 @@ func (s *session) closeBackends() {
 // handleQuery routes one Query frame.
 func (s *session) handleQuery(nc net.Conn, payload []byte) error {
 	trace, body := wire.SplitTraced(payload)
-	stmts, err := sql.SplitStatements(string(body))
+	stmts, err := sql.Parse(string(body))
 	if err != nil || len(stmts) == 0 {
 		// Let the real server produce the parse error so clients see the
 		// same message with or without a router in between.
@@ -260,44 +272,34 @@ func (s *session) handleSticky(nc net.Conn, typ byte, payload []byte) error {
 // executed. It runs regardless of the outcome: assuming a transaction is
 // still open when it is not only costs read locality (those reads go to
 // the primary), never correctness.
-func (s *session) trackTxn(stmts []string) {
+func (s *session) trackTxn(stmts []sql.Statement) {
 	for _, st := range stmts {
-		switch firstKeyword(st) {
-		case "BEGIN":
+		switch st.(type) {
+		case *sql.Begin:
 			s.inTxn = true
-		case "COMMIT", "ROLLBACK":
+		case *sql.Commit, *sql.Rollback:
 			s.inTxn = false
 		}
 	}
 }
 
-// readKeywords are the statement-leading keywords that never modify state;
-// anything else routes to the primary.
-var readKeywords = map[string]bool{
-	"SELECT": true, "EXPLAIN": true, "ANALYZE": false, "WAIT": true,
-}
-
-func allReads(stmts []string) bool {
+// allReads reports whether every statement leaves state unchanged: SELECT,
+// WAIT FOR CLOCK, and EXPLAIN unless it is EXPLAIN ANALYZE of a statement
+// other than SELECT (which executes it). Anything else routes to the
+// primary.
+func allReads(stmts []sql.Statement) bool {
 	for _, st := range stmts {
-		if !readKeywords[firstKeyword(st)] {
+		switch st := st.(type) {
+		case *sql.Select, *sql.WaitForClock:
+		case *sql.Explain:
+			if _, sel := st.Stmt.(*sql.Select); st.Analyze && !sel {
+				return false
+			}
+		default:
 			return false
 		}
 	}
 	return true
-}
-
-// firstKeyword extracts the uppercased first word of a statement.
-func firstKeyword(st string) string {
-	st = strings.TrimSpace(st)
-	end := 0
-	for end < len(st) {
-		c := st[end]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_') {
-			break
-		}
-		end++
-	}
-	return strings.ToUpper(st[:end])
 }
 
 // forwardWrite sends a request that may modify state to the primary —
@@ -347,9 +349,9 @@ func (s *session) forward(nc net.Conn, typ byte, trace string, payload []byte) e
 			}
 		}
 		rt.m.RouterWritesRouted.Add(1)
-		if rtyp != wire.Error {
-			s.dirty = true
-		}
+		// Bumped before the client sees the answer, so any read that
+		// starts after the ack refreshes its barrier past this write.
+		rt.writeGen.Add(1)
 		return relay(nc, rtyp, rpayload)
 	}
 }
@@ -361,12 +363,10 @@ func (s *session) forward(nc net.Conn, typ byte, trace string, payload []byte) e
 func (s *session) forwardRead(nc net.Conn, trace string, body, payload []byte) error {
 	rt := s.rt
 	replicas, primary, fallback := rt.readCandidates()
-	if s.dirty {
-		if err := s.refreshBarrier(); err != nil {
-			// Could not learn the write barrier; the primary itself is
-			// always read-your-writes-consistent, so route there.
-			replicas = nil
-		}
+	if err := s.refreshBarrier(); err != nil {
+		// Could not learn the write barrier; the primary itself is always
+		// read-your-writes-consistent, so route there.
+		replicas = nil
 	}
 
 	candidates := make([]*backend, 0, len(replicas)+1+len(fallback))
@@ -388,8 +388,8 @@ func (s *session) forwardRead(nc net.Conn, trace string, body, payload []byte) e
 		}
 		req := payload
 		if b != primary && s.barrier > 0 {
-			// Read-your-writes: make the replica wait until it has applied
-			// this session's last write before answering.
+			// Make the replica wait until it has applied every write the
+			// router acked before this read started.
 			prefixed := fmt.Sprintf("WAIT FOR CLOCK %d; %s", s.barrier, body)
 			req = wire.AppendTraced(trace, []byte(prefixed))
 		}
@@ -420,24 +420,44 @@ func (s *session) forwardRead(nc net.Conn, trace string, body, payload []byte) e
 		fmt.Sprintf("every backend failed the read; last error: %s", lastErr))
 }
 
-// refreshBarrier captures the primary's commit clock after this session
-// wrote, so replica reads can wait for it. Fetched lazily — on the first
-// read after a write — to keep the write path itself one round trip.
+// refreshBarrier brings the session's barrier up to the router's write
+// generation, so replica reads wait for every write acked through the
+// router before the read began — whichever session wrote it. The clock is
+// fetched lazily, on the first read after a write, to keep the write path
+// one round trip, and once per generation router-wide: a barrier another
+// session fetched at or past this generation is reused.
 func (s *session) refreshBarrier() error {
-	if !s.dirty {
+	rt := s.rt
+	gen := rt.writeGen.Load()
+	if gen == s.barrierGen {
 		return nil
 	}
+	rt.barrierMu.Lock()
+	if rt.barrierGen >= gen {
+		// Never lower the barrier: a later read must not see older state.
+		s.barrier, s.barrierGen = max(s.barrier, rt.barrierClock), rt.barrierGen
+		rt.barrierMu.Unlock()
+		return nil
+	}
+	rt.barrierMu.Unlock()
+
 	bc, err := s.stickyPrimary()
 	if err != nil {
 		return err
 	}
+	// The generation was read before the clock, so the clock covers every
+	// write counted in it.
 	clock, err := bc.queryClock()
 	if err != nil {
 		s.dropPrimary()
 		return err
 	}
-	s.barrier = clock
-	s.dirty = false
+	s.barrier, s.barrierGen = clock, gen
+	rt.barrierMu.Lock()
+	if gen > rt.barrierGen {
+		rt.barrierGen, rt.barrierClock = gen, clock
+	}
+	rt.barrierMu.Unlock()
 	return nil
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"lambdadb/internal/exec"
 	"lambdadb/internal/load"
-	"lambdadb/internal/persist"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/plancache"
 	"lambdadb/internal/sql"
@@ -176,20 +175,6 @@ func (db *DB) Store() *storage.Store { return db.store }
 // (nil otherwise). The replication layer ships from and mirrors into it.
 func (db *DB) WALManager() *wal.Manager { return db.wal }
 
-// Save writes a snapshot image of the database to path.
-func (db *DB) Save(path string) error { return persist.SaveFile(db.store, path) }
-
-// OpenFile opens a database restored from a snapshot image.
-func OpenFile(path string, opts ...Option) (*DB, error) {
-	store, err := persist.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	db := Open(opts...)
-	db.store = store
-	return db, nil
-}
-
 // OpenDir opens a durable database backed by a data directory: the latest
 // checkpoint image is loaded, the write-ahead log replayed (recovering
 // from a crash if there was one), and from then on every commit is made
@@ -250,7 +235,7 @@ func (db *DB) Checkpoint() (wal.CheckpointStats, error) {
 }
 
 // RecoverySummary reports what startup recovery found and did, and whether
-// this DB is durable at all (false for Open/OpenFile databases).
+// this DB is durable at all (false for Open databases).
 func (db *DB) RecoverySummary() (wal.RecoverySummary, bool) {
 	if db.wal == nil {
 		return wal.RecoverySummary{}, false

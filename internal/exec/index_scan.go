@@ -1,25 +1,16 @@
 package exec
 
 import (
-	"errors"
-
-	"lambdadb/internal/faultinject"
 	"lambdadb/internal/plan"
 	"lambdadb/internal/types"
 )
 
 // indexScan probes a secondary index (point or range) and emits the
-// visible matching rows. It mirrors tableScan's producer-goroutine shape:
-// the probe runs in its own goroutine with panic containment, batches flow
-// through a small channel, and cancellation is observed per batch.
+// visible matching rows through the same producer as tableScan.
 type indexScan struct {
-	node    *plan.IndexScan
-	ctx     *Context
-	batches chan *types.Batch
-	errCh   chan error
-	done    chan struct{}
-	opened  bool
-	rows    int64
+	node *plan.IndexScan
+	scanProducer
+	rows int64
 }
 
 func newIndexScan(n *plan.IndexScan) *indexScan { return &indexScan{node: n} }
@@ -27,74 +18,28 @@ func newIndexScan(n *plan.IndexScan) *indexScan { return &indexScan{node: n} }
 func (s *indexScan) Schema() types.Schema { return s.node.Schema() }
 
 func (s *indexScan) Open(ctx *Context) error {
-	s.ctx = ctx
-	s.batches = make(chan *types.Batch, 4)
-	s.errCh = make(chan error, 1)
-	s.done = make(chan struct{})
-	s.opened = true
 	s.rows = 0
-	cancelled := ctx.doneCh()
-	go func() {
-		defer close(s.batches)
-		err := func() (err error) {
-			defer containPanic("index-scan", &err)
-			yield := func(b *types.Batch) error {
-				if err := faultinject.Fire("exec.scan.batch"); err != nil {
-					return err
-				}
-				select {
-				case s.batches <- b:
-					return nil
-				case <-s.done:
-					return errScanCancelled
-				case <-cancelled:
-					return errScanCancelled
-				}
-			}
-			n := s.node
-			if n.Eq != nil {
-				return n.Rel.IndexLookupEq(n.Index, *n.Eq, n.Snapshot, yield)
-			}
-			return n.Rel.IndexLookupRange(n.Index, n.Lo, n.Hi, n.LoInc, n.HiInc, n.Snapshot, yield)
-		}()
-		if err != nil && !errors.Is(err, errScanCancelled) {
-			s.errCh <- err
+	n := s.node
+	s.start(ctx, "index-scan", func(yield func(*types.Batch) error) error {
+		if n.Eq != nil {
+			return n.Rel.IndexLookupEq(n.Index, *n.Eq, n.Snapshot, yield)
 		}
-	}()
+		return n.Rel.IndexLookupRange(n.Index, n.Lo, n.Hi, n.LoInc, n.HiInc, n.Snapshot, yield)
+	})
 	return nil
 }
 
 func (s *indexScan) Next() (*types.Batch, error) {
-	if err := s.ctx.Err(); err != nil {
-		return nil, err
-	}
-	select {
-	case err := <-s.errCh:
-		return nil, err
-	case b, ok := <-s.batches:
-		if !ok {
-			select {
-			case err := <-s.errCh:
-				return nil, err
-			default:
-			}
-			if err := s.ctx.Err(); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		}
+	b, err := s.next()
+	if b != nil {
 		s.rows += int64(b.Len())
-		return b, nil
 	}
+	return b, err
 }
 
 func (s *indexScan) Close() error {
-	if s.opened {
-		close(s.done)
-		s.opened = false
-		if s.ctx != nil && s.ctx.OnIndexProbe != nil {
-			s.ctx.OnIndexProbe(s.rows)
-		}
+	if s.stop() && s.ctx != nil && s.ctx.OnIndexProbe != nil {
+		s.ctx.OnIndexProbe(s.rows)
 	}
 	return nil
 }

@@ -9,9 +9,12 @@ import (
 	"lambdadb/internal/types"
 )
 
-// tableScan reads a stored table (optionally a physical row range).
-type tableScan struct {
-	node    *plan.Scan
+// scanProducer runs a storage scan in its own goroutine and hands its
+// batches to the consuming operator through a small channel. The producer
+// runs outside the Drain/runParts containment boundaries, so it carries its
+// own: a panic becomes an *InternalError on errCh instead of killing the
+// process. Cancellation (Close or the query context) is observed per batch.
+type scanProducer struct {
 	ctx     *Context
 	batches chan *types.Batch
 	errCh   chan error
@@ -19,36 +22,27 @@ type tableScan struct {
 	opened  bool
 }
 
-func newTableScan(n *plan.Scan) *tableScan { return &tableScan{node: n} }
-
-func (s *tableScan) Schema() types.Schema { return s.node.Schema() }
-
-func (s *tableScan) Open(ctx *Context) error {
-	s.ctx = ctx
-	s.batches = make(chan *types.Batch, 4)
-	s.errCh = make(chan error, 1)
-	s.done = make(chan struct{})
-	s.opened = true
-	lo, hi := s.node.Lo, s.node.Hi
-	if hi < 0 {
-		hi = s.node.Rel.PhysicalRows()
-	}
+// start launches scan with a yield that forwards each batch to next; op
+// names the operator in a contained panic.
+func (p *scanProducer) start(ctx *Context, op string, scan func(yield func(*types.Batch) error) error) {
+	p.ctx = ctx
+	p.batches = make(chan *types.Batch, 4)
+	p.errCh = make(chan error, 1)
+	p.done = make(chan struct{})
+	p.opened = true
 	cancelled := ctx.doneCh()
 	go func() {
-		defer close(s.batches)
-		// The producer runs outside the Drain/runParts containment
-		// boundaries, so it carries its own: a panic here becomes an
-		// *InternalError on errCh instead of killing the process.
+		defer close(p.batches)
 		err := func() (err error) {
-			defer containPanic("scan", &err)
-			return s.node.Rel.ScanRange(s.node.Snapshot, lo, hi, func(b *types.Batch) error {
+			defer containPanic(op, &err)
+			return scan(func(b *types.Batch) error {
 				if err := faultinject.Fire("exec.scan.batch"); err != nil {
 					return err
 				}
 				select {
-				case s.batches <- b:
+				case p.batches <- b:
 					return nil
-				case <-s.done:
+				case <-p.done:
 					return errScanCancelled
 				case <-cancelled:
 					return errScanCancelled
@@ -56,29 +50,29 @@ func (s *tableScan) Open(ctx *Context) error {
 			})
 		}()
 		if err != nil && !errors.Is(err, errScanCancelled) {
-			s.errCh <- err
+			p.errCh <- err
 		}
 	}()
-	return nil
 }
 
-func (s *tableScan) Next() (*types.Batch, error) {
-	if err := s.ctx.Err(); err != nil {
+// next returns the producer's next batch, nil at the end of the scan.
+func (p *scanProducer) next() (*types.Batch, error) {
+	if err := p.ctx.Err(); err != nil {
 		return nil, err
 	}
 	select {
-	case err := <-s.errCh:
+	case err := <-p.errCh:
 		return nil, err
-	case b, ok := <-s.batches:
+	case b, ok := <-p.batches:
 		if !ok {
 			select {
-			case err := <-s.errCh:
+			case err := <-p.errCh:
 				return nil, err
 			default:
 			}
 			// The producer also shuts down on cancellation; report that as
 			// the context error, never as a clean end of stream.
-			if err := s.ctx.Err(); err != nil {
+			if err := p.ctx.Err(); err != nil {
 				return nil, err
 			}
 			return nil, nil
@@ -87,11 +81,42 @@ func (s *tableScan) Next() (*types.Batch, error) {
 	}
 }
 
-func (s *tableScan) Close() error {
-	if s.opened {
-		close(s.done)
-		s.opened = false
+// stop tells a running producer to quit; it reports whether one was
+// running.
+func (p *scanProducer) stop() bool {
+	if !p.opened {
+		return false
 	}
+	close(p.done)
+	p.opened = false
+	return true
+}
+
+// tableScan reads a stored table (optionally a physical row range).
+type tableScan struct {
+	node *plan.Scan
+	scanProducer
+}
+
+func newTableScan(n *plan.Scan) *tableScan { return &tableScan{node: n} }
+
+func (s *tableScan) Schema() types.Schema { return s.node.Schema() }
+
+func (s *tableScan) Open(ctx *Context) error {
+	lo, hi := s.node.Lo, s.node.Hi
+	if hi < 0 {
+		hi = s.node.Rel.PhysicalRows()
+	}
+	s.start(ctx, "scan", func(yield func(*types.Batch) error) error {
+		return s.node.Rel.ScanRange(s.node.Snapshot, lo, hi, yield)
+	})
+	return nil
+}
+
+func (s *tableScan) Next() (*types.Batch, error) { return s.next() }
+
+func (s *tableScan) Close() error {
+	s.stop()
 	return nil
 }
 

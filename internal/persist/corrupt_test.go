@@ -12,11 +12,12 @@ import (
 	"lambdadb/internal/types"
 )
 
-// image serializes the test store to a v2 logical image in memory.
+// image serializes the test store to a physical image at its current
+// clock, in memory.
 func image(t *testing.T, s *storage.Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Save(s, &buf); err != nil {
+	if err := SavePhysical(s, &buf, s.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

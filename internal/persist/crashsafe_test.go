@@ -14,8 +14,8 @@ import (
 // saveSnapshot writes the store to path and fails the test on error.
 func saveSnapshot(t *testing.T, s *storage.Store, path string) {
 	t.Helper()
-	if err := SaveFile(s, path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
+	if err := SavePhysicalFile(s, path, s.Snapshot()); err != nil {
+		t.Fatalf("SavePhysicalFile: %v", err)
 	}
 }
 
@@ -56,7 +56,7 @@ func singleTableStore(t *testing.T, n int64) *storage.Store {
 }
 
 // TestFailedSavePreservesPreviousSnapshot injects failures at both
-// crash-relevant points of SaveFile — after the image bytes are written
+// crash-relevant points of SavePhysicalFile — after the image bytes are written
 // (before fsync) and after the temp file is durable (before the rename) —
 // and verifies the previous snapshot at the destination stays intact and
 // loadable, with no temp file left behind.
@@ -71,9 +71,10 @@ func TestFailedSavePreservesPreviousSnapshot(t *testing.T) {
 
 			boom := errors.New("injected I/O failure")
 			faultinject.FailOnce(point, boom)
-			err := SaveFile(singleTableStore(t, 999), path)
+			s := singleTableStore(t, 999)
+			err := SavePhysicalFile(s, path, s.Snapshot())
 			if !errors.Is(err, boom) {
-				t.Fatalf("SaveFile = %v, want injected failure", err)
+				t.Fatalf("SavePhysicalFile = %v, want injected failure", err)
 			}
 			if _, serr := os.Stat(path + ".tmp"); !os.IsNotExist(serr) {
 				t.Fatalf("temp file left behind after failed save: %v", serr)
@@ -99,8 +100,9 @@ func TestFailedFirstSaveLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.img")
 	faultinject.FailOnce("persist.save.write", errors.New("disk full"))
-	if err := SaveFile(singleTableStore(t, 10), path); err == nil {
-		t.Fatal("SaveFile succeeded despite injected failure")
+	s := singleTableStore(t, 10)
+	if err := SavePhysicalFile(s, path, s.Snapshot()); err == nil {
+		t.Fatal("SavePhysicalFile succeeded despite injected failure")
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

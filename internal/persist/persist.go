@@ -5,23 +5,18 @@
 // the corresponding substrate (snapshot-based recovery in the HyPer
 // tradition — binary images paired with the redo log in internal/wal).
 //
-// Two image kinds share one container format:
-//
-//   - logical images (Save/SaveFile) hold the rows visible at the current
-//     snapshot, with deleted row versions compacted away. They are the
-//     user-facing \save / -db images; loading one replays it as a single
-//     commit into a fresh store.
-//   - physical images (SavePhysical/SavePhysicalFile) hold the physical
-//     row prefix as of an explicit commit-clock cut, including dead rows
-//     and their per-row version stamps plus table incarnation IDs. They
-//     are checkpoint images: redo-log records reference physical row
-//     indexes, so recovery needs the exact pre-crash layout.
+// The one image kind is the physical checkpoint image: the physical row
+// prefix as of an explicit commit-clock cut, including dead rows and their
+// per-row version stamps plus table incarnation IDs. Redo-log records
+// reference physical row indexes, so recovery needs the exact pre-crash
+// layout; checkpoints, replica checkpoints and replication resync all write
+// and load this image.
 //
 // Container format v3 (little endian):
 //
 //	magic "LMDB3\n"
-//	u8  kind (1 = logical, 2 = physical)
-//	u64 clock (physical: the image's commit-clock cut; logical: 0)
+//	u8  kind (always 2, physical)
+//	u64 clock (the image's commit-clock cut)
 //	u32 table count
 //	per table:
 //	  string name
@@ -29,17 +24,16 @@
 //	  u32 column count, per column: string name, u8 type
 //	  u32 index count, per index: string name, string column, u8 kind
 //	  batches: u32 row count (0 terminates), then per column:
-//	    u8 hasNulls (+ rowCount null bytes), then the typed payload;
-//	    physical images append rowCount createdAt + rowCount deletedAt u64s
+//	    u8 hasNulls (+ rowCount null bytes), then the typed payload,
+//	    then rowCount createdAt + rowCount deletedAt u64s
 //	u32 CRC-32 (IEEE) of every preceding byte
 //
 // Only index definitions are persisted; index contents are rebuilt from the
 // restored rows at load time (index state is a pure function of the
 // physical rows, see internal/storage).
 //
-// Older images still load: v2 ("LMDB2\n") lacks the index-definition block,
-// legacy v1 ("LMDB1\n") additionally lacks ID/clock/CRC. Any decode
-// failure — bad magic, truncation, checksum mismatch, invalid structure —
+// Any decode failure — bad magic, an older container version, a kind other
+// than physical, truncation, checksum mismatch, invalid structure —
 // surfaces as a *CorruptImageError naming the byte offset, never as a raw
 // decode error, so callers can reliably distinguish "damaged image" from
 // "no image" (see LoadFile).
@@ -49,7 +43,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -63,16 +56,12 @@ import (
 	"lambdadb/internal/types"
 )
 
-var (
-	magicV1 = []byte("LMDB1\n")
-	magicV2 = []byte("LMDB2\n")
-	magicV3 = []byte("LMDB3\n")
-)
+var magic = []byte("LMDB3\n")
 
-const (
-	kindLogical  byte = 1
-	kindPhysical byte = 2
-)
+// kindPhysical is the image's kind byte. The container keeps the byte so
+// existing images stay byte-identical; kind 1 (the retired logical image)
+// and any other value are refused.
+const kindPhysical byte = 2
 
 // CorruptImageError reports a snapshot image that could not be decoded:
 // truncated, checksum-mismatched, or structurally invalid. Offset is the
@@ -106,34 +95,20 @@ type Reader interface {
 	io.ByteReader
 }
 
-// Save writes a logical snapshot of every table (rows visible at the
-// current snapshot, deleted versions compacted away) to w.
-func Save(store *storage.Store, w io.Writer) error {
-	return saveImage(store, w, kindLogical, store.Snapshot())
-}
-
 // SavePhysical writes a physical snapshot of every table as of the given
 // commit clock: the physical row prefix created at or before clock, with
 // per-row version stamps and table incarnation IDs. Recovery loads it with
 // the exact pre-crash row layout so redo-log records resolve correctly.
 func SavePhysical(store *storage.Store, w io.Writer, clock uint64) error {
-	return saveImage(store, w, kindPhysical, clock)
-}
-
-func saveImage(store *storage.Store, w io.Writer, kind byte, clock uint64) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	if _, err := bw.Write(magicV3); err != nil {
+	if _, err := bw.Write(magic); err != nil {
 		return err
 	}
-	if err := bw.WriteByte(kind); err != nil {
+	if err := bw.WriteByte(kindPhysical); err != nil {
 		return err
 	}
-	hdrClock := uint64(0)
-	if kind == kindPhysical {
-		hdrClock = clock
-	}
-	if err := WriteU64(bw, hdrClock); err != nil {
+	if err := WriteU64(bw, clock); err != nil {
 		return err
 	}
 	names := store.TableNames()
@@ -146,7 +121,7 @@ func saveImage(store *storage.Store, w io.Writer, kind byte, clock uint64) error
 		if err != nil {
 			return err
 		}
-		if err := saveTable(bw, tbl, kind, clock); err != nil {
+		if err := saveTable(bw, tbl, clock); err != nil {
 			return fmt.Errorf("table %q: %w", name, err)
 		}
 	}
@@ -161,21 +136,17 @@ func saveImage(store *storage.Store, w io.Writer, kind byte, clock uint64) error
 	return err
 }
 
-// SaveFile writes a logical snapshot to a file, crash-safely: the image is
-// written to a temp file which is fsynced before the atomic rename, and the
-// parent directory is fsynced after it so the rename itself is durable. A
-// failure at any point leaves the previous snapshot at path untouched and
-// removes the temp file.
-func SaveFile(store *storage.Store, path string) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return Save(store, w) })
-}
-
-// SavePhysicalFile is SaveFile for a physical snapshot as of clock.
+// SavePhysicalFile writes a physical snapshot as of clock to a file
+// through WriteFileAtomic.
 func SavePhysicalFile(store *storage.Store, path string, clock uint64) error {
-	return saveFileAtomic(path, func(w io.Writer) error { return SavePhysical(store, w, clock) })
+	return WriteFileAtomic(path, func(w io.Writer) error { return SavePhysical(store, w, clock) })
 }
 
-func saveFileAtomic(path string, write func(io.Writer) error) error {
+// WriteFileAtomic writes a file crash-safely: write fills a temp file
+// which is fsynced before the atomic rename, and the parent directory is
+// fsynced after it so the rename itself is durable. A failure at any point
+// leaves the previous file at path untouched and removes the temp file.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -207,11 +178,12 @@ func saveFileAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(path))
 }
 
-// syncDir fsyncs a directory so a just-committed rename survives a crash.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a just-committed rename, creation or
+// removal in it survives a crash.
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
@@ -220,7 +192,7 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-func saveTable(w *bufio.Writer, tbl *storage.Table, kind byte, clock uint64) error {
+func saveTable(w *bufio.Writer, tbl *storage.Table, clock uint64) error {
 	if err := WriteString(w, tbl.Name()); err != nil {
 		return err
 	}
@@ -245,35 +217,25 @@ func saveTable(w *bufio.Writer, tbl *storage.Table, kind byte, clock uint64) err
 			return err
 		}
 	}
-	var err error
-	if kind == kindPhysical {
-		err = tbl.ScanPhysical(clock, func(b *types.Batch, createdAt, deletedAt []uint64) error {
-			if b.Len() == 0 {
-				return nil
-			}
-			if err := WriteBatch(w, b); err != nil {
+	err := tbl.ScanPhysical(clock, func(b *types.Batch, createdAt, deletedAt []uint64) error {
+		if b.Len() == 0 {
+			return nil
+		}
+		if err := WriteBatch(w, b); err != nil {
+			return err
+		}
+		for _, ts := range createdAt {
+			if err := WriteU64(w, ts); err != nil {
 				return err
 			}
-			for _, ts := range createdAt {
-				if err := WriteU64(w, ts); err != nil {
-					return err
-				}
+		}
+		for _, ts := range deletedAt {
+			if err := WriteU64(w, ts); err != nil {
+				return err
 			}
-			for _, ts := range deletedAt {
-				if err := WriteU64(w, ts); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	} else {
-		err = tbl.Scan(clock, func(b *types.Batch) error {
-			if b.Len() == 0 {
-				return nil
-			}
-			return WriteBatch(w, b)
-		})
-	}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -419,8 +381,7 @@ func writeColumn(w Writer, c *types.Column, n int) error {
 	return nil
 }
 
-// Load reads a snapshot image into a fresh store. It accepts both v2
-// (CRC-checked, logical or physical) and legacy v1 images; failures are
+// Load reads a physical snapshot image into a fresh store; failures are
 // *CorruptImageError.
 func Load(r io.Reader) (*storage.Store, error) {
 	data, err := io.ReadAll(r)
@@ -453,74 +414,48 @@ func loadImage(data []byte, path string) (*storage.Store, error) {
 	corrupt := func(off int64, format string, args ...any) error {
 		return &CorruptImageError{Path: path, Offset: off, Reason: fmt.Sprintf(format, args...)}
 	}
-	if len(data) < len(magicV3) {
+	if len(data) < len(magic) {
 		return nil, corrupt(int64(len(data)), "truncated before magic (%d bytes)", len(data))
 	}
-	var ver int
-	switch {
-	case bytes.Equal(data[:len(magicV1)], magicV1):
-		ver = 1
-	case bytes.Equal(data[:len(magicV2)], magicV2):
-		ver = 2
-	case bytes.Equal(data[:len(magicV3)], magicV3):
-		ver = 3
-	default:
+	if !bytes.Equal(data[:len(magic)], magic) {
+		if bytes.HasPrefix(data, magic[:4]) {
+			return nil, corrupt(0, "unsupported image version %q (only %q loads)", data[:len(magic)], magic)
+		}
 		return nil, corrupt(0, "not a database image (bad magic)")
 	}
-	legacy := ver == 1
-
-	body := data[len(magicV2):]
-	kind := kindLogical
-	clock := uint64(0)
-	if !legacy {
-		// Verify the CRC trailer before trusting any structure.
-		if len(data) < len(magicV2)+1+8+4+4 {
-			return nil, corrupt(int64(len(data)), "truncated header")
-		}
-		payload, tail := data[:len(data)-4], data[len(data)-4:]
-		want := binary.LittleEndian.Uint32(tail)
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return nil, corrupt(int64(len(payload)),
-				"checksum mismatch (stored %08x, computed %08x; truncated or corrupted image)", want, got)
-		}
-		body = payload[len(magicV2):]
-		kind = body[0]
-		if kind != kindLogical && kind != kindPhysical {
-			return nil, corrupt(int64(len(magicV2)), "unknown image kind %d", kind)
-		}
-		clock = binary.LittleEndian.Uint64(body[1:9])
-		body = body[9:]
+	// Verify the CRC trailer before trusting any structure.
+	if len(data) < len(magic)+1+8+4+4 {
+		return nil, corrupt(int64(len(data)), "truncated header")
 	}
+	payload, tail := data[:len(data)-4], data[len(data)-4:]
+	want := binary.LittleEndian.Uint32(tail)
+	if got := crc32.ChecksumIEEE(payload); got != want {
+		return nil, corrupt(int64(len(payload)),
+			"checksum mismatch (stored %08x, computed %08x; truncated or corrupted image)", want, got)
+	}
+	body := payload[len(magic):]
+	if kind := body[0]; kind != kindPhysical {
+		return nil, corrupt(int64(len(magic)), "unsupported image kind %d (only physical checkpoint images load)", kind)
+	}
+	clock := binary.LittleEndian.Uint64(body[1:9])
+	body = body[9:]
 
-	r := &offsetReader{data: body, base: int64(len(data)) - int64(len(body)) - trailerLen(legacy)}
+	r := &offsetReader{data: body, base: int64(len(payload) - len(body))}
 	store := storage.NewStore()
 	count, err := ReadU32(r)
 	if err != nil {
 		return nil, corrupt(r.offset(), "table count: %v", err)
 	}
 	for t := uint32(0); t < count; t++ {
-		if err := loadTable(r, store, ver, kind); err != nil {
-			var ce *CorruptImageError
-			if errors.As(err, &ce) {
-				return nil, err
-			}
+		if err := loadTable(r, store); err != nil {
 			return nil, corrupt(r.offset(), "table %d/%d: %v", t+1, count, err)
 		}
 	}
 	if r.len() != 0 {
 		return nil, corrupt(r.offset(), "%d trailing bytes after last table", r.len())
 	}
-	if kind == kindPhysical {
-		store.RestoreClock(clock)
-	}
+	store.RestoreClock(clock)
 	return store, nil
-}
-
-func trailerLen(legacy bool) int64 {
-	if legacy {
-		return 0
-	}
-	return 4
 }
 
 // offsetReader reads from an in-memory image while tracking the absolute
@@ -552,96 +487,61 @@ func (r *offsetReader) ReadByte() (byte, error) {
 func (r *offsetReader) offset() int64 { return r.base + int64(r.pos) }
 func (r *offsetReader) len() int      { return len(r.data) - r.pos }
 
-func loadTable(r *offsetReader, store *storage.Store, ver int, kind byte) error {
+func loadTable(r *offsetReader, store *storage.Store) error {
 	name, err := ReadString(r)
 	if err != nil {
 		return err
 	}
-	id := uint64(0)
-	if ver >= 2 {
-		if id, err = ReadU64(r); err != nil {
-			return err
-		}
+	id, err := ReadU64(r)
+	if err != nil {
+		return err
 	}
 	schema, err := ReadSchema(r)
 	if err != nil {
 		return fmt.Errorf("table %q: %w", name, err)
 	}
-	var defs []storage.IndexDef
-	if ver >= 3 {
-		if defs, err = readIndexDefs(r, name); err != nil {
-			return err
-		}
-	}
-
-	if kind == kindPhysical {
-		tbl, err := store.CreateTableWithID(name, schema, id)
-		if err != nil {
-			return err
-		}
-		for {
-			n, err := ReadU32(r)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				return buildIndexes(tbl, defs)
-			}
-			b, err := readBatchRows(r, schema, n)
-			if err != nil {
-				return fmt.Errorf("table %q: %w", name, err)
-			}
-			createdAt := make([]uint64, n)
-			deletedAt := make([]uint64, n)
-			for i := range createdAt {
-				if createdAt[i], err = ReadU64(r); err != nil {
-					return err
-				}
-			}
-			for i := range deletedAt {
-				if deletedAt[i], err = ReadU64(r); err != nil {
-					return err
-				}
-			}
-			if err := tbl.RestoreRows(b, createdAt, deletedAt); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Logical image: replay the rows as one ordinary commit.
-	tbl, err := store.CreateTable(name, schema)
+	defs, err := readIndexDefs(r, name)
 	if err != nil {
 		return err
 	}
-	tx := store.Begin()
+	tbl, err := store.CreateTableWithID(name, schema, id)
+	if err != nil {
+		return err
+	}
 	for {
 		n, err := ReadU32(r)
 		if err != nil {
 			return err
 		}
 		if n == 0 {
-			break
+			return buildIndexes(tbl, defs)
 		}
 		b, err := readBatchRows(r, schema, n)
 		if err != nil {
 			return fmt.Errorf("table %q: %w", name, err)
 		}
-		if err := tx.Insert(tbl, b); err != nil {
-			tx.Rollback()
+		createdAt := make([]uint64, n)
+		deletedAt := make([]uint64, n)
+		for i := range createdAt {
+			if createdAt[i], err = ReadU64(r); err != nil {
+				return err
+			}
+		}
+		for i := range deletedAt {
+			if deletedAt[i], err = ReadU64(r); err != nil {
+				return err
+			}
+		}
+		if err := tbl.RestoreRows(b, createdAt, deletedAt); err != nil {
 			return err
 		}
 	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	return buildIndexes(tbl, defs)
 }
 
 // maxIndexes bounds the per-table index count during decode.
 const maxIndexes = 1 << 12
 
-// readIndexDefs reads a table's index-definition block (v3 images).
+// readIndexDefs reads a table's index-definition block.
 func readIndexDefs(r *offsetReader, table string) ([]storage.IndexDef, error) {
 	n, err := ReadU32(r)
 	if err != nil {

@@ -2,6 +2,9 @@ package persist
 
 import (
 	"bytes"
+	"errors"
+	"hash/crc32"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -75,7 +78,7 @@ func allRows(t *testing.T, s *storage.Store, table string) [][]types.Value {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	src := buildStore(t)
 	var buf bytes.Buffer
-	if err := Save(src, &buf); err != nil {
+	if err := SavePhysical(src, &buf, src.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	dst, err := Load(&buf)
@@ -105,36 +108,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveCompactsDeletedRows(t *testing.T) {
-	s := buildStore(t)
-	tbl, _ := s.Table("big")
-	tx := s.Begin()
-	for i := 0; i < 100; i++ {
-		if err := tx.Delete(tbl, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := Save(s, &buf); err != nil {
-		t.Fatal(err)
-	}
-	dst, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstTbl, _ := dst.Table("big")
-	if got := dstTbl.PhysicalRows(); got != 4900 {
-		t.Errorf("restored physical rows = %d, want 4900 (compacted)", got)
-	}
-}
-
 func TestSaveLoadFile(t *testing.T) {
 	s := buildStore(t)
 	path := filepath.Join(t.TempDir(), "db.img")
-	if err := SaveFile(s, path); err != nil {
+	if err := SavePhysicalFile(s, path, s.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	dst, err := LoadFile(path)
@@ -150,22 +127,91 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not a database image at all")); err == nil {
 		t.Error("garbage input should fail")
 	}
-	if _, err := Load(strings.NewReader("LMDB1\n")); err == nil {
+	if _, err := Load(strings.NewReader("LMDB3\n")); err == nil {
 		t.Error("truncated input should fail")
 	}
-	// Valid magic, corrupt body.
+}
+
+// TestLoadRefusesRetiredFormats: the v1 and v2 containers and the logical
+// (kind 1) image are no longer read. Each is refused as a
+// *CorruptImageError — never misread as a physical image.
+func TestLoadRefusesRetiredFormats(t *testing.T) {
+	logical, err := os.ReadFile(filepath.Join("testdata", "logical_v3.img"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"v1":             retiredImage(t, "LMDB1\n", false),
+		"v2":             retiredImage(t, "LMDB2\n", true),
+		"v3 kind 1":      logical,
+		"v3 kind 1 (re)": withKind(t, goldenImage(t), 1),
+	} {
+		_, err := Load(bytes.NewReader(data))
+		var ce *CorruptImageError
+		if !errors.As(err, &ce) {
+			t.Errorf("%s: error %v, want *CorruptImageError", name, err)
+			continue
+		}
+		if !strings.Contains(ce.Reason, "unsupported") {
+			t.Errorf("%s: reason %q does not name the unsupported format", name, ce.Reason)
+		}
+	}
+}
+
+// retiredImage builds a well-formed one-table image in a retired container:
+// v1 ("LMDB1\n": no kind, clock, incarnation ID or CRC) or v2 ("LMDB2\n":
+// a physical image without the index-definition block).
+func retiredImage(t *testing.T, magic string, v2 bool) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	buf.WriteString("LMDB1\n")
-	buf.Write([]byte{1, 0, 0, 0})         // one table
-	buf.Write([]byte{255, 255, 255, 255}) // absurd name length
-	if _, err := Load(&buf); err == nil {
-		t.Error("corrupt name length should fail")
+	buf.WriteString(magic)
+	if v2 {
+		buf.WriteByte(kindPhysical)
+		must(t, WriteU64(&buf, 1))
+	}
+	must(t, WriteU32(&buf, 1))
+	must(t, WriteString(&buf, "t"))
+	if v2 {
+		must(t, WriteU64(&buf, 1))
+	}
+	schema := types.Schema{{Name: "x", Type: types.Int64}}
+	must(t, WriteSchema(&buf, schema))
+	b := types.NewBatch(schema)
+	b.AppendRow([]types.Value{types.NewInt(7)})
+	must(t, WriteBatch(&buf, b))
+	if v2 {
+		must(t, WriteU64(&buf, 1)) // createdAt
+		must(t, WriteU64(&buf, 0)) // deletedAt
+	}
+	must(t, WriteU32(&buf, 0))
+	if v2 {
+		must(t, WriteU32(&buf, crc32.ChecksumIEEE(buf.Bytes())))
+	}
+	return buf.Bytes()
+}
+
+// withKind rewrites an image's kind byte and recomputes its CRC, so the
+// kind is the only thing wrong with it.
+func withKind(t *testing.T, data []byte, kind byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), data[:len(data)-4]...)
+	out[len(magic)] = kind
+	var buf bytes.Buffer
+	buf.Write(out)
+	must(t, WriteU32(&buf, crc32.ChecksumIEEE(out)))
+	return buf.Bytes()
+}
+
+func must(t *testing.T, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestEmptyStoreRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Save(storage.NewStore(), &buf); err != nil {
+	if err := SavePhysical(storage.NewStore(), &buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	dst, err := Load(&buf)
@@ -183,7 +229,7 @@ func TestEmptyTableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(s, &buf); err != nil {
+	if err := SavePhysical(s, &buf, s.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	dst, err := Load(&buf)

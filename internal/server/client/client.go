@@ -246,6 +246,14 @@ func (c *Conn) roundTrip(ctx context.Context, typ byte, body []byte) (*Result, e
 		traceID = telemetry.NewTraceID()
 	}
 	if err := wire.WriteFrame(nc, typ, wire.AppendTraced(traceID, body)); err != nil {
+		// A server refusing the connection (connection limit, shutdown)
+		// sends an Error frame and closes without reading the request, so
+		// the write can fail after the refusal has already arrived.
+		_ = nc.SetReadDeadline(time.Now().Add(refusalWait))
+		if rtyp, payload, rerr := wire.ReadFrame(c.br); rerr == nil && rtyp == wire.Error {
+			c.fail(ctx, err)
+			return nil, serverError(payload)
+		}
 		return nil, c.fail(ctx, err)
 	}
 	typ, payload, err := wire.ReadFrame(c.br)
@@ -254,9 +262,7 @@ func (c *Conn) roundTrip(ctx context.Context, typ byte, body []byte) (*Result, e
 	}
 	switch typ {
 	case wire.Error:
-		id, body := wire.SplitTraced(payload)
-		code, details, msg := wire.SplitErrorCode(body)
-		return nil, &ServerError{Msg: msg, TraceID: id, Code: code, Details: details}
+		return nil, serverError(payload)
 	case wire.Affected:
 		n, err := strconv.Atoi(string(payload))
 		if err != nil {
@@ -272,6 +278,16 @@ func (c *Conn) roundTrip(ctx context.Context, typ byte, body []byte) (*Result, e
 	default:
 		return nil, c.fail(ctx, fmt.Errorf("client: unexpected frame type %q", typ))
 	}
+}
+
+// refusalWait bounds the look for a refusal frame after a failed write.
+const refusalWait = 100 * time.Millisecond
+
+// serverError decodes an Error frame's payload.
+func serverError(payload []byte) *ServerError {
+	id, body := wire.SplitTraced(payload)
+	code, details, msg := wire.SplitErrorCode(body)
+	return &ServerError{Msg: msg, TraceID: id, Code: code, Details: details}
 }
 
 // fail tears the connection down after a transport-level failure,

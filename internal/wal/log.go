@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lambdadb/internal/faultinject"
+	"lambdadb/internal/persist"
 	"lambdadb/internal/telemetry"
 )
 
@@ -120,7 +121,7 @@ func openLog(dir string, seq uint64, metrics *telemetry.Metrics) (*log, error) {
 
 // openSegmentFile opens (or creates) the segment file for appending and
 // writes its header only when the file does not already carry one. A file
-// left behind by an earlier failed attempt (e.g. rotate dying in syncDir
+// left behind by an earlier failed attempt (e.g. rotate dying in SyncDir
 // after the header write) keeps its header; writing a second one would be
 // parsed as a frame on recovery and read as a mid-segment tear. A partial
 // header (shorter than segHeaderLen) can only come from a failed write and
@@ -146,7 +147,7 @@ func openSegmentFile(dir string, seq uint64) (*os.File, error) {
 			f.Close()
 			return nil, err
 		}
-		if err := syncDir(dir); err != nil {
+		if err := persist.SyncDir(dir); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -162,15 +163,6 @@ func writeSegmentHeader(f *os.File, seq uint64) error {
 		return err
 	}
 	return f.Sync()
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // append frames the payload and buffers it, returning the record's LSN to

@@ -323,7 +323,7 @@ func truncateSegment(dir, path string, off int64) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return persist.SyncDir(dir)
 }
 
 // Summary returns what recovery found and did.
@@ -460,13 +460,9 @@ func (m *Manager) AdoptEpoch(e uint64) {
 // Checkpoint writes a durable physical snapshot and prunes the log behind
 // it:
 //
-//  1. rotate the log under the store's commit lock, capturing the commit
-//     clock C — every record with a timestamp at or below C now sits in a
-//     sealed segment, every later record in the new one,
-//  2. write the physical image as of C (atomic tmp+fsync+rename, so the
-//     previous image survives any failure),
-//  3. prune the sealed segments, oldest first with the directory fsynced
-//     after each removal, so a crash mid-prune leaves a contiguous run.
+//  1. cut the image (see cutImage): rotate at commit clock C, re-announce
+//     the epoch, write the physical image as of C,
+//  2. prune the sealed segments below the retention floor (see prune).
 //
 // A crash between any two steps recovers: the image and the log overlap
 // rather than gap, and replay skips records the image already covers.
@@ -479,59 +475,76 @@ func (m *Manager) Checkpoint() (CheckpointStats, error) {
 	if err := faultinject.Fire("wal.checkpoint"); err != nil {
 		return CheckpointStats{}, err
 	}
+	clock, err := m.cutImage()
+	if err != nil {
+		return CheckpointStats{}, err
+	}
+	if err := faultinject.Fire("wal.checkpoint.prune"); err != nil {
+		return CheckpointStats{}, err
+	}
+	// A connected replica may still need sealed segments the image now
+	// covers: prune only below the retention floor, never the active one.
+	return m.prune(clock, m.pruneFloor(m.activeLog().activeSeq()))
+}
 
-	var clock uint64
-	var epochLSN uint64
+// cutImage writes a checkpoint image at a segment boundary and returns its
+// clock C. The caller holds m.mu.
+//
+//  1. Under the store's commit lock, capture C and rotate the log: every
+//     record with a timestamp at or below C now sits in a sealed segment,
+//     every later record in the new one.
+//  2. Re-announce the fencing epoch at the head of the fresh segment and
+//     wait until it is durable: the image does not record epochs, a prune
+//     may remove the only segment that carried it, and a replica resynced
+//     from the image mirrors the log from the fresh segment on.
+//  3. Write the physical image as of C (atomic tmp+fsync+rename, so the
+//     previous image survives any failure).
+func (m *Manager) cutImage() (uint64, error) {
+	var clock, epochLSN uint64
 	var rerr error
 	m.store.WithCommitLock(func(c uint64) {
 		clock = c
 		if rerr = m.activeLog().rotate(); rerr != nil {
 			return
 		}
-		// Re-announce the fencing epoch at the head of the fresh segment:
-		// the prune below may remove the only segment carrying it, and the
-		// snapshot image does not record epochs.
 		if e := m.epoch.Load(); e > 0 {
 			epochLSN, _, rerr = m.activeLog().append(encodeEpoch(e))
 		}
 	})
 	if rerr != nil {
-		return CheckpointStats{}, fmt.Errorf("wal: rotate log: %w", rerr)
+		return 0, fmt.Errorf("wal: rotate log: %w", rerr)
 	}
 	if epochLSN != 0 {
-		// The epoch record must be durable before older segments disappear,
-		// or a crash mid-prune could forget the epoch entirely.
 		if err := m.activeLog().waitDurable(epochLSN); err != nil {
-			return CheckpointStats{}, err
+			return 0, err
 		}
 	}
-
 	if err := faultinject.Fire("wal.checkpoint.snapshot"); err != nil {
-		return CheckpointStats{}, err
+		return 0, err
 	}
 	if err := persist.SavePhysicalFile(m.store, filepath.Join(m.dir, snapshotFile), clock); err != nil {
-		return CheckpointStats{}, fmt.Errorf("wal: write checkpoint image: %w", err)
+		return 0, fmt.Errorf("wal: write checkpoint image: %w", err)
 	}
+	return clock, nil
+}
 
-	if err := faultinject.Fire("wal.checkpoint.prune"); err != nil {
-		return CheckpointStats{}, err
-	}
+// prune removes the segments below floor, oldest first with the directory
+// fsynced after each removal, so a crash mid-prune leaves a contiguous run.
+// It counts a completed checkpoint at clock. The caller holds m.mu.
+func (m *Manager) prune(clock, floor uint64) (CheckpointStats, error) {
 	segs, err := listSegments(m.dir)
 	if err != nil {
 		return CheckpointStats{}, err
 	}
-	// A connected replica may still need sealed segments the image now
-	// covers: prune only below the retention floor, never the active one.
-	keep := m.pruneFloor(m.activeLog().activeSeq())
 	removed := 0
 	for _, seg := range segs {
-		if seg.seq >= keep {
+		if seg.seq >= floor {
 			break
 		}
 		if err := os.Remove(seg.path); err != nil {
 			return CheckpointStats{}, err
 		}
-		if err := syncDir(m.dir); err != nil {
+		if err := persist.SyncDir(m.dir); err != nil {
 			return CheckpointStats{}, err
 		}
 		removed++

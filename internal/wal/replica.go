@@ -98,26 +98,7 @@ func (m *Manager) SnapshotPrune() (CheckpointStats, error) {
 	if err := persist.SavePhysicalFile(m.store, filepath.Join(m.dir, snapshotFile), clock); err != nil {
 		return CheckpointStats{}, fmt.Errorf("wal: write checkpoint image: %w", err)
 	}
-	segs, err := listSegments(m.dir)
-	if err != nil {
-		return CheckpointStats{}, err
-	}
-	active := m.activeLog().activeSeq()
-	removed := 0
-	for _, seg := range segs {
-		if seg.seq >= active {
-			break
-		}
-		if err := os.Remove(seg.path); err != nil {
-			return CheckpointStats{}, err
-		}
-		if err := syncDir(m.dir); err != nil {
-			return CheckpointStats{}, err
-		}
-		removed++
-	}
-	m.metrics.Checkpoints.Add(1)
-	return CheckpointStats{Clock: clock, SegmentsRemoved: removed}, nil
+	return m.prune(clock, m.activeLog().activeSeq())
 }
 
 // ResetForResync discards the replica's entire local state and replaces it
@@ -145,38 +126,18 @@ func (m *Manager) ResetForResync(snapshot io.Reader, startSeg uint64) error {
 			return err
 		}
 	}
-	if err := syncDir(m.dir); err != nil {
+	if err := persist.SyncDir(m.dir); err != nil {
 		return err
 	}
 
-	// Write the shipped image via tmp+fsync+rename so a crash mid-resync
-	// leaves either no image (fresh replica, full resync restarts) or a
-	// whole one — never a torn image next to an empty log.
+	// Write the shipped image atomically so a crash mid-resync leaves
+	// either no image (fresh replica, full resync restarts) or a whole one —
+	// never a torn image next to an empty log.
 	path := filepath.Join(m.dir, snapshotFile)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
+	if err := persist.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := io.Copy(w, snapshot)
 		return err
-	}
-	if _, err := io.Copy(f, snapshot); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(m.dir); err != nil {
+	}); err != nil {
 		return err
 	}
 
