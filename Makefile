@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check lint vet build test race stress bench overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared
+.PHONY: check lint vet build test race stress bench bench-smoke overhead server-smoke crash chaos-repl chaos-cluster bench-wal bench-obs fuzz-smoke bench-prepared
 
-## check: everything CI runs except server-smoke — lint, build, full tests, race, telemetry-overhead smoke
-check: lint build test race overhead
+## check: everything CI runs except server-smoke — lint, build, full tests, race, telemetry-overhead smoke, benchmark smoke
+check: lint build test race overhead bench-smoke
 
 ## lint: go vet always; staticcheck when installed (CI pins and installs it; locally it is optional)
 lint: vet
@@ -44,9 +44,13 @@ bench-obs:
 	$(GO) test ./internal/telemetry/ -run xxx -bench 'BenchmarkHistogram' -benchtime 2s
 	$(GO) test ./internal/obs/ -run xxx -bench 'BenchmarkRenderMetrics' -benchtime 2s
 
-## bench: refresh the parallel-operator scaling baseline (see BENCH_exec.json)
+## bench: refresh the parallel-operator scaling baseline (see BENCH_exec.json) and the hash join / GROUP BY kernels with their allocations
 bench:
-	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkParallel(Join|Sort|TopK|Agg)Scaling' -benchtime 3x
+	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkParallel(Join|Sort|TopK|Agg)Scaling|BenchmarkHash(Join|Agg)$$' -benchtime 3x
+
+## bench-smoke: run each hash-kernel benchmark once, so they keep compiling and running
+bench-smoke:
+	$(GO) test ./internal/exec/ -run xxx -bench 'BenchmarkHash(Join|Agg)$$' -benchtime 1x
 
 ## crash: kill -9 a durable engine repeatedly, verify zero acked-commit loss and no phantom effects
 crash:

@@ -14,63 +14,145 @@ type aggState struct {
 	count int64
 	sumI  int64
 	sumF  float64
-	sumSq float64 // for stddev/variance
-	min   types.Value
-	max   types.Value
+	sumSq float64     // for stddev/variance
+	best  types.Value // min or max so far, once seen
 	seen  bool
 }
 
-// group holds a group's key values and aggregate states.
-type group struct {
-	keys   []types.Value
-	states []aggState
+// groupTable is an open-addressed hash table over distinct key rows,
+// shared by GROUP BY, DISTINCT and UNION. Group g's key is row g of the
+// typed key columns, so groups keep insertion order and a probe compares
+// columns in place, without boxing a row. slots holds group+1 (0 = empty)
+// under linear probing and is kept at most half full.
+type groupTable struct {
+	keys   []*types.Column
+	hashes []uint64
+	slots  []int32
 }
 
-// aggHash is a chained hash table over groups.
-type aggHash struct {
-	buckets map[uint64][]*group
-	groups  []*group // insertion order
-	nAggs   int
+func newGroupTable(schema types.Schema) *groupTable {
+	t := &groupTable{keys: make([]*types.Column, len(schema)), slots: make([]int32, 16)}
+	for k, c := range schema {
+		t.keys[k] = types.NewColumn(c.Type, 0)
+	}
+	return t
 }
 
-func newAggHash(nAggs int) *aggHash {
-	return &aggHash{buckets: map[uint64][]*group{}, nAggs: nAggs}
-}
-
-// lookup returns the group for the given key row, creating it on demand.
-func (h *aggHash) lookup(keys []types.Value) *group {
-	var hv uint64
-	for _, k := range keys {
-		if k.Null {
-			// GROUP BY treats NULLs as one group; give them a fixed hash.
-			hv = types.HashCombine(hv, 0x9e3779b97f4a7c15)
-		} else {
-			hv = types.HashCombine(hv, k.Hash())
+// find returns the group of row r of cols, whose hash (see hashRows) is h,
+// and whether this call added it. NULL keys equal each other here, unlike
+// in a join.
+func (t *groupTable) find(cols []*types.Column, r int, h uint64) (int, bool) {
+	mask := uint64(len(t.slots) - 1)
+	for s := h & mask; ; s = (s + 1) & mask {
+		g := int(t.slots[s]) - 1
+		if g < 0 {
+			g = len(t.hashes)
+			t.slots[s] = int32(g + 1)
+			t.hashes = append(t.hashes, h)
+			for k, c := range t.keys {
+				c.AppendAt(cols[k], r)
+			}
+			if 2*len(t.hashes) > len(t.slots) {
+				t.grow()
+			}
+			return g, true
+		}
+		if t.hashes[g] == h && t.keyEqual(g, cols, r) {
+			return g, false
 		}
 	}
-	for _, g := range h.buckets[hv] {
-		if groupKeysEqual(g.keys, keys) {
-			return g
-		}
-	}
-	g := &group{keys: append([]types.Value{}, keys...), states: make([]aggState, h.nAggs)}
-	h.buckets[hv] = append(h.buckets[hv], g)
-	h.groups = append(h.groups, g)
-	return g
 }
 
-// groupKeysEqual compares group keys with NULL = NULL (SQL GROUP BY
-// semantics, unlike ordinary equality).
-func groupKeysEqual(a, b []types.Value) bool {
-	for i := range a {
-		if a[i].Null != b[i].Null {
-			return false
-		}
-		if !a[i].Null && !a[i].Equal(b[i]) {
+func (t *groupTable) keyEqual(g int, cols []*types.Column, r int) bool {
+	for k, c := range t.keys {
+		o := cols[k]
+		if gn, rn := c.IsNull(g), o.IsNull(r); gn || rn {
+			if gn != rn {
+				return false
+			}
+		} else if !c.EqualAt(g, o, r) {
 			return false
 		}
 	}
 	return true
+}
+
+func (t *groupTable) grow() {
+	t.slots = make([]int32, 2*len(t.slots))
+	mask := uint64(len(t.slots) - 1)
+	for g, h := range t.hashes {
+		s := h & mask
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = int32(g + 1)
+	}
+}
+
+// aggHash is a group table plus every group's aggregate states.
+type aggHash struct {
+	*groupTable
+	// states holds nAggs states per group, in group order, in blocks of
+	// stateBlock: growing never copies, and every block is a small
+	// allocation that reuses warm heap.
+	states [][]aggState
+	nAggs  int
+}
+
+const stateBlock = 256
+
+func newAggHash(keys types.Schema, nAggs int) *aggHash {
+	return &aggHash{groupTable: newGroupTable(keys), nAggs: nAggs}
+}
+
+// group returns the group of row r of cols, whose hash is h, creating it
+// on demand.
+func (h *aggHash) group(cols []*types.Column, r int, hv uint64) int {
+	g, added := h.find(cols, r, hv)
+	for added && len(h.states)*stateBlock < (g+1)*h.nAggs {
+		h.states = append(h.states, make([]aggState, stateBlock))
+	}
+	return g
+}
+
+// state returns aggregate ai of group g.
+func (h *aggHash) state(g, ai int) *aggState {
+	i := g*h.nAggs + ai
+	return &h.states[i/stateBlock][i%stateBlock]
+}
+
+// update folds one batch's argument column (nil for count(*)) into
+// aggregate ai of each row's group, gids[r] being row r's. The common
+// float kernels read the column directly; the rest go through Value.
+func (h *aggHash) update(ai int, f plan.AggFunc, col *types.Column, gids []int) {
+	switch {
+	case f == plan.AggCountStar:
+		for _, g := range gids {
+			h.state(g, ai).count++
+		}
+	case col.T == types.Float64 && (f == plan.AggSum || f == plan.AggAvg):
+		for r, g := range gids {
+			if !col.IsNull(r) {
+				s := h.state(g, ai)
+				s.count++
+				s.sumF += col.Floats[r]
+			}
+		}
+	case col.T == types.Float64 && (f == plan.AggMin || f == plan.AggMax):
+		for r, g := range gids {
+			if col.IsNull(r) {
+				continue
+			}
+			v, s := col.Floats[r], h.state(g, ai)
+			if !s.seen || (f == plan.AggMin && v < s.best.F) || (f == plan.AggMax && v > s.best.F) {
+				s.best, s.seen = types.NewFloat(v), true
+			}
+		}
+	default:
+		for r, g := range gids {
+			h.state(g, ai).update(f, col.Value(r))
+		}
+	}
 }
 
 // update folds one input value into an aggregate state.
@@ -98,13 +180,13 @@ func (s *aggState) update(f plan.AggFunc, v types.Value) {
 		s.sumF += f
 		s.sumSq += f * f
 	case plan.AggMin:
-		if !s.seen || v.Compare(s.min) < 0 {
-			s.min = v
+		if !s.seen || v.Compare(s.best) < 0 {
+			s.best = v
 		}
 		s.seen = true
 	case plan.AggMax:
-		if !s.seen || v.Compare(s.max) > 0 {
-			s.max = v
+		if !s.seen || v.Compare(s.best) > 0 {
+			s.best = v
 		}
 		s.seen = true
 	}
@@ -121,13 +203,13 @@ func (s *aggState) merge(f plan.AggFunc, o aggState) {
 		s.sumF += o.sumF
 		s.sumSq += o.sumSq
 	case plan.AggMin:
-		if o.seen && (!s.seen || o.min.Compare(s.min) < 0) {
-			s.min = o.min
+		if o.seen && (!s.seen || o.best.Compare(s.best) < 0) {
+			s.best = o.best
 		}
 		s.seen = s.seen || o.seen
 	case plan.AggMax:
-		if o.seen && (!s.seen || o.max.Compare(s.max) > 0) {
-			s.max = o.max
+		if o.seen && (!s.seen || o.best.Compare(s.best) > 0) {
+			s.best = o.best
 		}
 		s.seen = s.seen || o.seen
 	}
@@ -171,12 +253,12 @@ func (s *aggState) result(spec plan.AggSpec) types.Value {
 		if !s.seen {
 			return types.NewNull(spec.Type)
 		}
-		return s.min
+		return s.best
 	case plan.AggMax:
 		if !s.seen {
 			return types.NewNull(spec.Type)
 		}
-		return s.max
+		return s.best
 	}
 	return types.NewNull(spec.Type)
 }
@@ -237,20 +319,22 @@ func (a *aggOp) aggregateParallel(ctx *Context, parts []plan.Node) (*aggHash, er
 	if err != nil {
 		return nil, err
 	}
-	// Merge worker tables into the first.
+	// Merge worker tables into the first, in worker order, so groups keep
+	// the serial insertion order.
 	total := results[0]
 	for _, part := range results[1:] {
-		for _, g := range part.groups {
-			dst := total.lookup(g.keys)
-			for ai := range dst.states {
-				dst.states[ai].merge(a.node.Aggs[ai].Func, g.states[ai])
+		for g, hv := range part.hashes {
+			dst := total.group(part.keys, g, hv)
+			for ai, spec := range a.node.Aggs {
+				total.state(dst, ai).merge(spec.Func, *part.state(g, ai))
 			}
 		}
 	}
 	return total, nil
 }
 
-// consume drains op, updating a fresh hash table.
+// consume drains op, updating a fresh hash table one batch at a time:
+// first every row's group, then each aggregate over its argument column.
 func (a *aggOp) consume(ctx *Context, op Operator) (*aggHash, error) {
 	keyEvals := make([]expr.Evaluator, len(a.node.Keys))
 	for i, k := range a.node.Keys {
@@ -272,18 +356,20 @@ func (a *aggOp) consume(ctx *Context, op Operator) (*aggHash, error) {
 		argEvals[i] = ev
 	}
 
-	table := newAggHash(len(a.node.Aggs))
+	table := newAggHash(a.schema[:len(keyEvals)], len(a.node.Aggs))
 	if err := op.Open(ctx); err != nil {
 		op.Close()
 		return nil, err
 	}
 	defer op.Close()
 
-	keyBuf := make([]types.Value, len(keyEvals))
-	var global *group
 	if len(keyEvals) == 0 {
-		global = table.lookup(nil)
+		// Global aggregation: one group, present even for empty input.
+		table.group(nil, 0, 0)
 	}
+	keyCols := make([]*types.Column, len(keyEvals))
+	argCols := make([]*types.Column, len(argEvals))
+	var gids []int
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -295,13 +381,11 @@ func (a *aggOp) consume(ctx *Context, op Operator) (*aggHash, error) {
 		if b == nil {
 			break
 		}
-		keyCols := make([]*types.Column, len(keyEvals))
 		for i, ev := range keyEvals {
 			if keyCols[i], err = ev(b); err != nil {
 				return nil, err
 			}
 		}
-		argCols := make([]*types.Column, len(argEvals))
 		for i, ev := range argEvals {
 			if ev == nil {
 				continue
@@ -311,47 +395,42 @@ func (a *aggOp) consume(ctx *Context, op Operator) (*aggHash, error) {
 			}
 		}
 		n := b.Len()
-		for r := 0; r < n; r++ {
-			g := global
-			if g == nil {
-				for i, kc := range keyCols {
-					keyBuf[i] = kc.Value(r)
-				}
-				g = table.lookup(keyBuf)
+		gids = append(gids[:0], make([]int, n)...)
+		if len(keyCols) > 0 {
+			hs, _ := hashRows(keyCols, n)
+			for r, hv := range hs {
+				gids[r] = table.group(keyCols, r, hv)
 			}
-			for ai := range a.node.Aggs {
-				var v types.Value
-				if argCols[ai] != nil {
-					v = argCols[ai].Value(r)
-				}
-				g.states[ai].update(a.node.Aggs[ai].Func, v)
-			}
+		}
+		for ai, spec := range a.node.Aggs {
+			table.update(ai, spec.Func, argCols[ai], gids)
 		}
 	}
 	return table, nil
 }
 
-// finalize converts the hash table into output batches. Global aggregation
-// (no keys) over empty input still yields one row.
+// finalize converts the hash table into output batches, in group
+// insertion order: the key columns are sliced from the table, the
+// aggregate columns computed from the states.
 func (a *aggOp) finalize(table *aggHash) *Materialized {
 	out := &Materialized{Schema: a.schema}
-	batch := types.NewBatch(a.schema)
-	emit := func(g *group) {
-		row := make([]types.Value, 0, len(a.schema))
-		row = append(row, g.keys...)
+	nk := len(table.keys)
+	groups := len(table.hashes)
+	for lo := 0; lo < groups; lo += types.BatchSize {
+		hi := min(lo+types.BatchSize, groups)
+		b := &types.Batch{Schema: a.schema, Cols: make([]*types.Column, len(a.schema))}
+		for k, c := range table.keys {
+			b.Cols[k] = c.Slice(lo, hi)
+		}
 		for ai, spec := range a.node.Aggs {
-			row = append(row, g.states[ai].result(spec))
+			col := types.NewColumn(a.schema[nk+ai].Type, hi-lo)
+			for g := lo; g < hi; g++ {
+				col.Append(table.state(g, ai).result(spec))
+			}
+			b.Cols[nk+ai] = col
 		}
-		batch.AppendRow(row)
-		if batch.Len() >= types.BatchSize {
-			out.Append(batch)
-			batch = types.NewBatch(a.schema)
-		}
+		out.Append(b)
 	}
-	for _, g := range table.groups {
-		emit(g)
-	}
-	out.Append(batch)
 	return out
 }
 

@@ -174,9 +174,35 @@ func BenchmarkHashJoin(b *testing.B) {
 		EquiRight: []int{0},
 	}
 	ctx := NewContext()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(join, ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHashAgg measures the GROUP BY path: 400k rows into 50k groups,
+// with sum, min and count(*) per group.
+func BenchmarkHashAgg(b *testing.B) {
+	s, tbl := bigTable(b, 400_000, 50_000)
+	v := colRef("v", 1, types.Float64)
+	agg := &plan.Aggregate{
+		Child:    plan.NewScan(tbl, "", s.Snapshot()),
+		Keys:     []expr.Expr{colRef("k", 0, types.Int64)},
+		KeyNames: []string{"k"},
+		Aggs: []plan.AggSpec{
+			{Func: plan.AggSum, Arg: v, Type: types.Float64, Name: "sum(v)"},
+			{Func: plan.AggMin, Arg: v, Type: types.Float64, Name: "min(v)"},
+			{Func: plan.AggCountStar, Type: types.Int64, Name: "count(*)"},
+		},
+	}
+	ctx := NewContext()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(agg, ctx); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -120,7 +120,7 @@ func (r *recursiveOp) Open(ctx *Context) error {
 	acc := &Materialized{Schema: init.Schema}
 	var seen *rowSet
 	if !r.node.All {
-		seen = newRowSet()
+		seen = newRowSet(init.Schema)
 	}
 
 	working := &Materialized{Schema: init.Schema}
@@ -132,15 +132,7 @@ func (r *recursiveOp) Open(ctx *Context) error {
 				}
 				continue
 			}
-			filtered := types.NewBatch(src.Schema)
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				row := b.Row(i)
-				if seen.add(row) {
-					filtered.AppendRow(row)
-				}
-			}
-			if filtered.Len() > 0 {
+			if filtered := seen.filter(b); filtered != nil {
 				for _, d := range dst {
 					d.Append(filtered)
 				}

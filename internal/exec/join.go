@@ -9,8 +9,7 @@ import (
 
 // rowRef addresses a row inside a Materialized relation.
 type rowRef struct {
-	batch int
-	row   int
+	batch, row int32
 }
 
 // hashTable is a partitioned chained hash table over materialized rows
@@ -19,85 +18,57 @@ type rowRef struct {
 // exactly one worker, and probing is read-only. NULL keys never enter the
 // table (SQL equi-join semantics).
 type hashTable struct {
-	mat     *Materialized
-	keyCols []int
-	parts   []map[uint64][]rowRef
-	mask    uint64
+	mat   *Materialized
+	parts []joinPart
+	mask  uint64
 }
 
-func (ht *hashTable) lookup(h uint64) []rowRef { return ht.parts[h&ht.mask][h] }
+// joinPart is one partition, stored flat: no per-key allocation. Entry e is
+// build row refs[e] with key hash hashes[e]; slots[h>>shift] is the first
+// entry of hash h's chain and next[e] the one after e (-1 ends a chain).
+// Entries are inserted in reverse row order, so every chain lists its rows
+// in row order and the probe emits matches in build-row order whatever the
+// number of partitions.
+type joinPart struct {
+	slots  []int32
+	shift  uint
+	next   []int32
+	hashes []uint64
+	refs   []rowRef
+}
 
 // hashTableBytesPerRow is the accounting estimate for one build-side row's
-// hash-table footprint: a rowRef plus amortized map bucket overhead.
-const hashTableBytesPerRow = 48
+// hash-table footprint: its hash, ref and chain link, plus at most two
+// slots.
+const hashTableBytesPerRow = 32
 
 // buildHashTable constructs the table; when the build side is large enough
-// and the context allows parallelism it builds in parallel: one pass hashes
+// and the context allows parallelism it builds in parallel. One pass hashes
 // every row's keys (parallel over batches), then each partition worker
-// inserts its own slice of the hash space. The table's footprint is charged
-// against the query memory budget.
+// inserts its own slice of the hash space; a serial build is the same with
+// one partition. The table's footprint is charged against the query memory
+// budget.
 func buildHashTable(mat *Materialized, keyCols []int, ctx *Context) (*hashTable, error) {
 	if err := ctx.charge("join", int64(mat.NumRows)*hashTableBytesPerRow); err != nil {
 		return nil, err
 	}
+	p := 1
 	if ctx.workers() > 1 && mat.NumRows >= 2*minRowsPerWorker {
-		return buildHashTableParallel(mat, keyCols, ctx)
-	}
-	ht := &hashTable{mat: mat, keyCols: keyCols,
-		parts: []map[uint64][]rowRef{make(map[uint64][]rowRef, mat.NumRows)}}
-	for bi, b := range mat.Batches {
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			h, ok := rowKeyHash(b, keyCols, i)
-			if !ok {
-				continue // NULL key never joins
-			}
-			ht.parts[0][h] = append(ht.parts[0][h], rowRef{bi, i})
+		for p < ctx.workers() {
+			p <<= 1
 		}
 	}
-	return ht, nil
-}
-
-func buildHashTableParallel(mat *Materialized, keyCols []int, ctx *Context) (*hashTable, error) {
-	p := 1
-	for p < ctx.workers() {
-		p <<= 1
-	}
-	ht := &hashTable{mat: mat, keyCols: keyCols,
-		parts: make([]map[uint64][]rowRef, p), mask: uint64(p - 1)}
-	// Pass 1: hash every row's key columns, parallel over batches. A NULL
-	// key marks the row invalid.
+	ht := &hashTable{mat: mat, parts: make([]joinPart, p), mask: uint64(p - 1)}
 	hashes := make([][]uint64, len(mat.Batches))
 	valid := make([][]bool, len(mat.Batches))
 	if err := runParts(ctx, len(mat.Batches), func(bi int) error {
-		b := mat.Batches[bi]
-		n := b.Len()
-		hs := make([]uint64, n)
-		ok := make([]bool, n)
-		for i := 0; i < n; i++ {
-			hs[i], ok[i] = rowKeyHash(b, keyCols, i)
-		}
-		hashes[bi], valid[bi] = hs, ok
+		hashes[bi], valid[bi] = hashRows(keyColumns(mat.Batches[bi], keyCols), mat.Batches[bi].Len())
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	// Pass 2: each partition worker scans the precomputed hashes and keeps
-	// only its share. Insertion order within a partition matches row order,
-	// so probe results are deterministic.
-	est := mat.NumRows / p
 	if err := runParts(ctx, p, func(pi int) error {
-		part := make(map[uint64][]rowRef, est)
-		target := uint64(pi)
-		for bi, hs := range hashes {
-			ok := valid[bi]
-			for i, h := range hs {
-				if ok[i] && h&ht.mask == target {
-					part[h] = append(part[h], rowRef{bi, i})
-				}
-			}
-		}
-		ht.parts[pi] = part
+		ht.parts[pi].build(hashes, valid, ht.mask, uint64(pi))
 		return nil
 	}); err != nil {
 		return nil, err
@@ -105,28 +76,111 @@ func buildHashTableParallel(mat *Materialized, keyCols []int, ctx *Context) (*ha
 	return ht, nil
 }
 
-// rowKeyHash hashes the key columns of row i; ok is false when any key is
-// NULL.
-func rowKeyHash(b *types.Batch, cols []int, i int) (uint64, bool) {
-	var h uint64
-	for _, c := range cols {
-		col := b.Cols[c]
-		if col.IsNull(i) {
-			return 0, false
-		}
-		h = types.HashCombine(h, col.Value(i).Hash())
+// build inserts the rows with a non-NULL key whose hash falls in partition
+// target.
+func (jp *joinPart) build(hashes [][]uint64, valid [][]bool, mask, target uint64) {
+	mine := func(bi, i int) bool {
+		return (valid[bi] == nil || valid[bi][i]) && hashes[bi][i]&mask == target
 	}
-	return h, true
+	n := 0
+	for bi, hs := range hashes {
+		for i := range hs {
+			if mine(bi, i) {
+				n++
+			}
+		}
+	}
+	bits := uint(0)
+	for 1<<bits < n {
+		bits++
+	}
+	jp.shift = 64 - bits
+	jp.slots = make([]int32, 1<<bits)
+	for s := range jp.slots {
+		jp.slots[s] = -1
+	}
+	jp.next = make([]int32, n)
+	jp.hashes = make([]uint64, n)
+	jp.refs = make([]rowRef, n)
+	e := n
+	for bi := len(hashes) - 1; bi >= 0; bi-- {
+		for i := len(hashes[bi]) - 1; i >= 0; i-- {
+			if !mine(bi, i) {
+				continue
+			}
+			e--
+			h := hashes[bi][i]
+			s := h >> jp.shift
+			jp.hashes[e], jp.refs[e], jp.next[e] = h, rowRef{int32(bi), int32(i)}, jp.slots[s]
+			jp.slots[s] = int32(e)
+		}
+	}
+}
+
+// keyColumns picks the key columns out of a batch.
+func keyColumns(b *types.Batch, cols []int) []*types.Column {
+	out := make([]*types.Column, len(cols))
+	for k, c := range cols {
+		out[k] = b.Cols[c]
+	}
+	return out
+}
+
+// hashRows returns the combined hash of cols for each of n rows, and which
+// rows have no NULL in cols (nil when no row has one). A NULL hashes like
+// every other NULL, which is what GROUP BY and DISTINCT need; joins skip
+// the rows that are not valid.
+func hashRows(cols []*types.Column, n int) ([]uint64, []bool) {
+	hs := make([]uint64, n)
+	var valid []bool
+	for _, c := range cols {
+		if c.Nulls != nil && valid == nil {
+			valid = make([]bool, n)
+			for i := range valid {
+				valid[i] = true
+			}
+		}
+		for i := range hs {
+			hs[i] = types.HashCombine(hs[i], c.HashAt(i))
+			if c.IsNull(i) {
+				valid[i] = false
+			}
+		}
+	}
+	return hs, valid
 }
 
 // keysEqual compares key columns between two rows.
-func keysEqual(a *types.Batch, aCols []int, ai int, b *types.Batch, bCols []int, bi int) bool {
-	for k := range aCols {
-		if !a.Cols[aCols[k]].Value(ai).Equal(b.Cols[bCols[k]].Value(bi)) {
+func keysEqual(a []*types.Column, ai int, b *types.Batch, bCols []int, bi int) bool {
+	for k, c := range a {
+		if !c.EqualAt(ai, b.Cols[bCols[k]], bi) {
 			return false
 		}
 	}
 	return true
+}
+
+// nullExtend returns the rows of b that matched does not mark, followed
+// by NULLs for the remaining columns of schema — a left join's unmatched
+// rows — or nil when every row matched.
+func nullExtend(schema types.Schema, b *types.Batch, matched []bool) *types.Batch {
+	var idx []int
+	for i, m := range matched {
+		if !m {
+			idx = append(idx, i)
+		}
+	}
+	if len(idx) == 0 {
+		return nil
+	}
+	out := &types.Batch{Schema: schema, Cols: make([]*types.Column, len(schema))}
+	for ci, c := range b.Cols {
+		out.Cols[ci] = c.Gather(idx)
+	}
+	for ci := len(b.Cols); ci < len(schema); ci++ {
+		out.Cols[ci] = types.ConstColumn(types.NewNull(schema[ci].Type), len(idx))
+	}
+	return out
 }
 
 // joinOp executes inner, left-outer, and cross joins. With equi keys it is
@@ -364,6 +418,10 @@ func (j *joinOp) hashNext() (*types.Batch, error) {
 type prober struct {
 	j        *joinOp
 	residual expr.Evaluator
+	// Match buffers, reused from batch to batch: build row and probe row
+	// of each matching pair.
+	buildRefs []rowRef
+	probeIdx  []int
 }
 
 func (j *joinOp) newProber() (*prober, error) {
@@ -388,26 +446,27 @@ func (p *prober) probeBatch(pb *types.Batch) ([]*types.Batch, error) {
 		probeKeys, buildKeys = j.node.EquiLeft, j.node.EquiRight
 	}
 	n := pb.Len()
-	var buildRefs []rowRef
-	var probeIdx []int
-	var unmatched []int // left-join probe rows with no match
-	for i := 0; i < n; i++ {
-		h, ok := rowKeyHash(pb, probeKeys, i)
-		matched := false
-		if ok {
-			for _, ref := range j.ht.lookup(h) {
-				bb := j.ht.mat.Batches[ref.batch]
-				if keysEqual(pb, probeKeys, i, bb, buildKeys, ref.row) {
-					buildRefs = append(buildRefs, ref)
-					probeIdx = append(probeIdx, i)
-					matched = true
-				}
+	keys := keyColumns(pb, probeKeys)
+	hs, valid := hashRows(keys, n)
+	ht := j.ht
+	buildRefs, probeIdx := p.buildRefs[:0], p.probeIdx[:0]
+	for i, h := range hs {
+		if valid != nil && !valid[i] {
+			continue
+		}
+		jp := &ht.parts[h&ht.mask]
+		for e := jp.slots[h>>jp.shift]; e >= 0; e = jp.next[e] {
+			if jp.hashes[e] != h {
+				continue
+			}
+			ref := jp.refs[e]
+			if keysEqual(keys, i, ht.mat.Batches[ref.batch], buildKeys, int(ref.row)) {
+				buildRefs = append(buildRefs, ref)
+				probeIdx = append(probeIdx, i)
 			}
 		}
-		if !matched && j.node.Type == plan.LeftJoin {
-			unmatched = append(unmatched, i)
-		}
 	}
+	p.buildRefs, p.probeIdx = buildRefs, probeIdx
 	out, keep, err := p.assemble(pb, probeIdx, buildRefs)
 	if err != nil {
 		return nil, err
@@ -416,38 +475,17 @@ func (p *prober) probeBatch(pb *types.Batch) ([]*types.Batch, error) {
 	if out != nil && out.Len() > 0 {
 		res = append(res, out)
 	}
-	// For left joins, rows eliminated by the residual also count as
-	// unmatched; track which probe rows survived.
 	if j.node.Type == plan.LeftJoin {
-		stillMatched := map[int]bool{}
+		// A probe row is unmatched when no build row has its key or the
+		// residual rejected every pair it was in.
+		matched := make([]bool, n)
 		for oi, pi := range probeIdx {
 			if keep == nil || keep[oi] {
-				stillMatched[pi] = true
+				matched[pi] = true
 			}
 		}
-		for _, pi := range probeIdx {
-			if !stillMatched[pi] {
-				unmatched = append(unmatched, pi)
-			}
-		}
-		// Deduplicate: a probe row with several candidates may appear in
-		// unmatched repeatedly.
-		seen := map[int]bool{}
-		nullRows := types.NewBatch(j.schema)
-		for _, pi := range unmatched {
-			if seen[pi] || stillMatched[pi] {
-				continue
-			}
-			seen[pi] = true
-			row := make([]types.Value, 0, len(j.schema))
-			row = append(row, pb.Row(pi)...)
-			for _, c := range j.schema[len(pb.Cols):] {
-				row = append(row, types.NewNull(c.Type))
-			}
-			nullRows.AppendRow(row)
-		}
-		if nullRows.Len() > 0 {
-			res = append(res, nullRows)
+		if nb := nullExtend(j.schema, pb, matched); nb != nil {
+			res = append(res, nb)
 		}
 	}
 	return res, nil
@@ -476,9 +514,8 @@ func (p *prober) assemble(pb *types.Batch, probeIdx []int, buildRefs []rowRef) (
 		}
 		// Build-side column: rows scatter across the materialized batches.
 		col := types.NewColumn(j.schema[ci].Type, len(probeIdx))
-		for k := range probeIdx {
-			ref := buildRefs[k]
-			col.Append(j.ht.mat.Batches[ref.batch].Cols[srcCol].Value(ref.row))
+		for _, ref := range buildRefs {
+			col.AppendAt(j.ht.mat.Batches[ref.batch].Cols[srcCol], int(ref.row))
 		}
 		out.Cols[ci] = col
 	}
@@ -531,19 +568,8 @@ func (j *joinOp) loopNext() (*types.Batch, error) {
 		if j.nlRight >= len(j.rightMat.Batches) {
 			// Finished all right batches for this left batch.
 			if j.node.Type == plan.LeftJoin {
-				nullRows := types.NewBatch(j.schema)
-				for i, m := range j.nlMatched {
-					if m {
-						continue
-					}
-					row := append([]types.Value{}, j.nlLeft.Row(i)...)
-					for _, c := range j.schema[len(j.nlLeft.Cols):] {
-						row = append(row, types.NewNull(c.Type))
-					}
-					nullRows.AppendRow(row)
-				}
-				if nullRows.Len() > 0 {
-					j.pendingOut = append(j.pendingOut, nullRows)
+				if nb := nullExtend(j.schema, j.nlLeft, j.nlMatched); nb != nil {
+					j.pendingOut = append(j.pendingOut, nb)
 				}
 			}
 			j.nlLeft = nil
@@ -551,61 +577,66 @@ func (j *joinOp) loopNext() (*types.Batch, error) {
 		}
 		rb := j.rightMat.Batches[j.nlRight]
 		j.nlRight++
-		out, err := j.crossBlock(j.nlLeft, rb)
-		if err != nil {
+		if err := j.crossBlock(j.nlLeft, rb); err != nil {
 			return nil, err
-		}
-		if out != nil && out.Len() > 0 {
-			return out, nil
 		}
 	}
 }
 
-// crossBlock produces the filtered cross product of two batches and
-// records which left rows matched. Output columns are built column-wise:
-// left values repeat across the right block, right columns are copied
-// wholesale per left row.
-func (j *joinOp) crossBlock(lb, rb *types.Batch) (*types.Batch, error) {
+// crossBlock queues the filtered cross product of two batches and records
+// which left rows matched. It takes the left rows in chunks whose product
+// with the right block fits one batch, so the vectors downstream stay
+// batch-sized. Output columns are built column-wise: each left row repeats
+// once per right row (a gather), and the right block is tiled once per
+// left row.
+func (j *joinOp) crossBlock(lb, rb *types.Batch) error {
 	ln, rn := lb.Len(), rb.Len()
 	nl := len(lb.Cols)
-	out := &types.Batch{Schema: j.schema, Cols: make([]*types.Column, len(j.schema))}
-	for ci := range j.schema {
-		out.Cols[ci] = types.NewColumn(j.schema[ci].Type, ln*rn)
-	}
-	leftIdx := make([]int, 0, ln*rn)
-	for li := 0; li < ln; li++ {
+	step := max(1, types.BatchSize/max(rn, 1))
+	for lo := 0; lo < ln; lo += step {
+		hi := min(lo+step, ln)
+		leftIdx := make([]int, 0, (hi-lo)*rn)
+		for li := lo; li < hi; li++ {
+			for ri := 0; ri < rn; ri++ {
+				leftIdx = append(leftIdx, li)
+			}
+		}
+		out := &types.Batch{Schema: j.schema, Cols: make([]*types.Column, len(j.schema))}
 		for ci, c := range lb.Cols {
-			out.Cols[ci].AppendRepeat(c.Value(li), rn)
+			out.Cols[ci] = c.Gather(leftIdx)
 		}
 		for ci, c := range rb.Cols {
-			out.Cols[nl+ci].AppendColumn(c)
+			col := types.NewColumn(j.schema[nl+ci].Type, len(leftIdx))
+			for li := lo; li < hi; li++ {
+				col.AppendColumn(c)
+			}
+			out.Cols[nl+ci] = col
 		}
-		for ri := 0; ri < rn; ri++ {
-			leftIdx = append(leftIdx, li)
+		if j.onEval == nil {
+			for li := lo; li < hi; li++ {
+				j.nlMatched[li] = true
+			}
+			j.pendingOut = append(j.pendingOut, out)
+			continue
+		}
+		c, err := j.onEval(out)
+		if err != nil {
+			return err
+		}
+		idx := make([]int, 0, out.Len())
+		for i := range leftIdx {
+			if !c.IsNull(i) && c.Bools[i] {
+				idx = append(idx, i)
+				j.nlMatched[leftIdx[i]] = true
+			}
+		}
+		switch len(idx) {
+		case 0:
+		case out.Len():
+			j.pendingOut = append(j.pendingOut, out)
+		default:
+			j.pendingOut = append(j.pendingOut, out.Gather(idx))
 		}
 	}
-	if j.onEval == nil {
-		for i := range j.nlMatched {
-			j.nlMatched[i] = true
-		}
-		return out, nil
-	}
-	c, err := j.onEval(out)
-	if err != nil {
-		return nil, err
-	}
-	idx := make([]int, 0, out.Len())
-	for i := 0; i < out.Len(); i++ {
-		if !c.IsNull(i) && c.Bools[i] {
-			idx = append(idx, i)
-			j.nlMatched[leftIdx[i]] = true
-		}
-	}
-	if len(idx) == 0 {
-		return nil, nil
-	}
-	if len(idx) == out.Len() {
-		return out, nil
-	}
-	return out.Gather(idx), nil
+	return nil
 }

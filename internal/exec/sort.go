@@ -261,30 +261,29 @@ func (l *limitOp) Next() (*types.Batch, error) {
 
 func (l *limitOp) Close() error { return l.child.Close() }
 
-// rowSet deduplicates full rows (Distinct, UNION).
-type rowSet struct {
-	buckets map[uint64][][]types.Value
-}
+// rowSet deduplicates full rows (Distinct, UNION): a group table keyed by
+// every column.
+type rowSet struct{ t *groupTable }
 
-func newRowSet() *rowSet { return &rowSet{buckets: map[uint64][][]types.Value{}} }
+func newRowSet(schema types.Schema) *rowSet { return &rowSet{newGroupTable(schema)} }
 
-// add inserts the row and reports whether it was new.
-func (s *rowSet) add(row []types.Value) bool {
-	var h uint64
-	for _, v := range row {
-		if v.Null {
-			h = types.HashCombine(h, 0x9e3779b97f4a7c15)
-		} else {
-			h = types.HashCombine(h, v.Hash())
+// filter returns the rows of b not seen before, b itself when all are new
+// and nil when none is, and remembers them.
+func (s *rowSet) filter(b *types.Batch) *types.Batch {
+	hs, _ := hashRows(b.Cols, b.Len())
+	var idx []int
+	for r, h := range hs {
+		if _, added := s.t.find(b.Cols, r, h); added {
+			idx = append(idx, r)
 		}
 	}
-	for _, existing := range s.buckets[h] {
-		if groupKeysEqual(existing, row) {
-			return false
-		}
+	switch len(idx) {
+	case 0:
+		return nil
+	case len(hs):
+		return b
 	}
-	s.buckets[h] = append(s.buckets[h], append([]types.Value{}, row...))
-	return true
+	return b.Gather(idx)
 }
 
 // distinctOp drops duplicate rows.
@@ -304,7 +303,7 @@ func newDistinctOp(n *plan.Distinct, sc *StatsCollector) (Operator, error) {
 func (d *distinctOp) Schema() types.Schema { return d.child.Schema() }
 
 func (d *distinctOp) Open(ctx *Context) error {
-	d.seen = newRowSet()
+	d.seen = newRowSet(d.Schema())
 	return d.child.Open(ctx)
 }
 
@@ -314,15 +313,7 @@ func (d *distinctOp) Next() (*types.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		out := types.NewBatch(b.Schema)
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			if d.seen.add(row) {
-				out.AppendRow(row)
-			}
-		}
-		if out.Len() > 0 {
+		if out := d.seen.filter(b); out != nil {
 			return out, nil
 		}
 	}
@@ -355,7 +346,7 @@ func (u *unionOp) Schema() types.Schema { return u.l.Schema() }
 func (u *unionOp) Open(ctx *Context) error {
 	u.onRight = false
 	if !u.node.All {
-		u.seen = newRowSet()
+		u.seen = newRowSet(u.Schema())
 	}
 	if err := u.l.Open(ctx); err != nil {
 		return err
@@ -388,16 +379,8 @@ func (u *unionOp) Next() (*types.Batch, error) {
 			}
 			return &types.Batch{Schema: u.Schema(), Cols: b.Cols}, nil
 		}
-		out := types.NewBatch(u.Schema())
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			row := b.Row(i)
-			if u.seen.add(row) {
-				out.AppendRow(row)
-			}
-		}
-		if out.Len() > 0 {
-			return out, nil
+		if out := u.seen.filter(b); out != nil {
+			return &types.Batch{Schema: u.Schema(), Cols: out.Cols}, nil
 		}
 	}
 }

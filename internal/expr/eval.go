@@ -99,6 +99,18 @@ func compileCast(n *Cast) (Evaluator, error) {
 
 func castColumn(c *types.Column, to types.Type) (*types.Column, error) {
 	n := c.Len()
+	if c.T == types.Int64 && to == types.Float64 {
+		// The common widening: one typed loop, NULL rows keep the input's
+		// bitmap (capped, so appending to the result cannot write into it).
+		out := &types.Column{T: types.Float64, Floats: make([]float64, n)}
+		for i, v := range c.Ints {
+			out.Floats[i] = float64(v)
+		}
+		if c.Nulls != nil {
+			out.Nulls = c.Nulls[:n:n]
+		}
+		return out, nil
+	}
 	out := types.NewColumn(to, n)
 	for i := 0; i < n; i++ {
 		if c.IsNull(i) {
@@ -184,6 +196,11 @@ func compileBinOp(n *BinOp) (Evaluator, error) {
 			}
 			return out, nil
 		}, nil
+	case op == OpPow:
+		if k, ok := intExponent(n.R); ok {
+			return compileIntPow(l, k), nil
+		}
+		return compileArith(op, n.Typ, l, r)
 	case op.IsArith():
 		return compileArith(op, n.Typ, l, r)
 	}
@@ -275,6 +292,69 @@ func compileArith(op Op, out types.Type, l, r Evaluator) (Evaluator, error) {
 		}
 		return res, nil
 	}, nil
+}
+
+// maxIntExponent bounds the exponents intExponent accepts: x ^ 64 takes
+// seven squarings, still far cheaper than math.Pow.
+const maxIntExponent = 64
+
+// intExponent reports whether e, the exponent of x ^ e, is a constant
+// integer in [1, maxIntExponent], seeing through the cast to DOUBLE that
+// typing puts around an integer literal. Both the vectorized and the λ
+// compiler turn such a power into powInt.
+func intExponent(e Expr) (int, bool) {
+	if c, ok := e.(*Cast); ok && c.To == types.Float64 {
+		e = c.E
+	}
+	c, ok := e.(*Const)
+	if !ok || c.Val.Null || !c.Val.T.IsNumeric() {
+		return 0, false
+	}
+	f := c.Val.AsFloat()
+	if f < 1 || f > maxIntExponent || f != math.Trunc(f) {
+		return 0, false
+	}
+	return int(f), true
+}
+
+// powInt is x ^ k for k >= 1 by repeated squaring, multiplying in the
+// same order as math.Pow does for an integer exponent, so the result is
+// bit-identical to math.Pow(x, k) whenever no intermediate product is
+// subnormal.
+func powInt(x float64, k int) float64 {
+	r := 1.0
+	for ; k > 0; k >>= 1 {
+		if k&1 == 1 {
+			r *= x
+		}
+		x *= x
+	}
+	return r
+}
+
+// compileIntPow compiles x ^ k for a constant exponent k (see
+// intExponent) to repeated multiplication instead of math.Pow and a
+// per-batch constant column.
+func compileIntPow(x Evaluator, k int) Evaluator {
+	return func(b *types.Batch) (*types.Column, error) {
+		c, err := x(b)
+		if err != nil {
+			return nil, err
+		}
+		n := c.Len()
+		res := &types.Column{T: types.Float64, Floats: make([]float64, n)}
+		res.Nulls = mergeNulls(c.Nulls, nil, n)
+		if k == 2 {
+			for i, v := range c.Floats {
+				res.Floats[i] = v * v
+			}
+			return res, nil
+		}
+		for i, v := range c.Floats {
+			res.Floats[i] = powInt(v, k)
+		}
+		return res, nil
+	}
 }
 
 func compileCompare(op Op, operand types.Type, l, r Evaluator) (Evaluator, error) {

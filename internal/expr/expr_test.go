@@ -425,3 +425,103 @@ func TestArithCommutativityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// floatBatch is a one-column batch (v DOUBLE) of vals, NULL where nulls
+// says so.
+func floatBatch(vals []float64, nulls []bool) *types.Batch {
+	c := &types.Column{T: types.Float64, Floats: vals, Nulls: nulls}
+	return &types.Batch{Schema: types.Schema{{Name: "v", Type: types.Float64}}, Cols: []*types.Column{c}}
+}
+
+func compileOn(t *testing.T, e Expr, schema types.Schema) Evaluator {
+	t.Helper()
+	r, err := Resolve(e, NewResolveCtx(schema, ""))
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	ev, err := Compile(r)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	return ev
+}
+
+// TestIntPowMatchesMathPow checks the integer-power kernel bit for bit
+// against math.Pow over normal-range values, signed zeros, infinities and
+// NaN, and that NULL rows stay NULL.
+func TestIntPowMatchesMathPow(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, -2.5, 3, 1e-100, -7.25e10, 1.7e150,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 12345.678}
+	for i := 0; i < 200; i++ {
+		vals = append(vals, (float64(i)-100)*1.37+0.001*float64(i*i))
+	}
+	nulls := make([]bool, len(vals)+1)
+	nulls[len(vals)] = true
+	vals = append(vals, 0)
+	schema := types.Schema{{Name: "v", Type: types.Float64}}
+	for _, k := range []types.Value{types.NewInt(2), types.NewFloat(2), types.NewInt(3), types.NewInt(7), types.NewInt(64)} {
+		ev := compileOn(t, bin(OpPow, col("v"), lit(k)), schema)
+		c, err := ev(floatBatch(vals, nulls))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vals[:len(vals)-1] {
+			want := math.Pow(v, k.AsFloat())
+			if math.Float64bits(c.Floats[i]) != math.Float64bits(want) && !(math.IsNaN(want) && math.IsNaN(c.Floats[i])) {
+				t.Errorf("%v ^ %v = %v, math.Pow = %v", v, k, c.Floats[i], want)
+			}
+		}
+		if !c.IsNull(len(vals)-1) || c.IsNull(0) {
+			t.Errorf("^%v: NULL did not propagate: %v", k, c.Nulls)
+		}
+	}
+}
+
+func TestIntExponentRule(t *testing.T) {
+	for _, tc := range []struct {
+		e    Expr
+		k    int
+		want bool
+	}{
+		{lit(types.NewInt(2)), 2, true},
+		{&Cast{E: lit(types.NewInt(3)), To: types.Float64}, 3, true},
+		{&Cast{E: lit(types.NewFloat(2.5)), To: types.Int64}, 0, false},
+		{lit(types.NewFloat(64)), 64, true},
+		{lit(types.NewFloat(2.5)), 0, false},
+		{lit(types.NewInt(0)), 0, false},
+		{lit(types.NewInt(-2)), 0, false},
+		{lit(types.NewInt(65)), 0, false},
+		{lit(types.NewNull(types.Int64)), 0, false},
+		{lit(types.NewString("2")), 0, false},
+		{col("v"), 0, false},
+	} {
+		if k, ok := intExponent(tc.e); ok != tc.want || k != tc.k {
+			t.Errorf("intExponent(%v) = %d, %v; want %d, %v", tc.e, k, ok, tc.k, tc.want)
+		}
+	}
+}
+
+// TestCastIntToDoubleKernel checks the typed INT -> DOUBLE cast: values,
+// NULLs, and that appending to the result leaves the input's bitmap alone.
+func TestCastIntToDoubleKernel(t *testing.T) {
+	in := types.NewColumn(types.Int64, 8)
+	in.AppendInt(-3)
+	in.AppendNull()
+	in.AppendInt(1 << 40)
+	in.AppendNull()
+	view := in.Slice(0, 3)
+	out, err := castColumn(view, types.Float64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.T != types.Float64 || out.Len() != 3 || out.Floats[0] != -3 || out.Floats[2] != 1<<40 {
+		t.Fatalf("cast = %+v", out)
+	}
+	if out.IsNull(0) || !out.IsNull(1) || out.IsNull(2) {
+		t.Fatalf("cast nulls = %v", out.Nulls)
+	}
+	out.AppendFloat(9)
+	if !in.IsNull(3) {
+		t.Fatal("appending to the cast result overwrote the input's null bitmap")
+	}
+}

@@ -38,8 +38,9 @@ type Builder struct {
 }
 
 type cteBinding struct {
-	node    Node // plan inlined at each reference (non-working bindings)
-	working bool // true inside a recursive CTE / ITERATE definition
+	node    Node    // plan inlined at each reference (non-working bindings)
+	working bool    // true inside a recursive CTE / ITERATE definition
+	card    float64 // working bindings: the initial query's estimate
 	schema  types.Schema
 	name    string
 }
@@ -181,7 +182,7 @@ func (b *Builder) buildCTE(cte sql.CTE) (Node, error) {
 
 	// Plan the recursive term with the CTE name bound to the working table.
 	savedBinding := b.ctes[cte.Name]
-	b.ctes[cte.Name] = &cteBinding{working: true, schema: initSchema, name: cte.Name}
+	b.ctes[cte.Name] = &cteBinding{working: true, card: init.Card(), schema: initSchema, name: cte.Name}
 	rec, err := b.buildQueryExpr(setop.R)
 	if savedBinding == nil {
 		delete(b.ctes, cte.Name)

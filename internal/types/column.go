@@ -70,6 +70,95 @@ func (c *Column) Value(i int) Value {
 	return Value{}
 }
 
+// HashAt returns Value(i).Hash() without boxing the row.
+func (c *Column) HashAt(i int) uint64 {
+	if c.IsNull(i) {
+		return nullHash
+	}
+	switch c.T {
+	case Int64:
+		return hashFloat(float64(c.Ints[i]))
+	case Float64:
+		return hashFloat(c.Floats[i])
+	case String:
+		return HashString(c.Strs[i])
+	case Bool:
+		if c.Bools[i] {
+			return hash64(1)
+		}
+		return hash64(0)
+	}
+	return 0
+}
+
+// EqualAt returns Value(i).Equal(o.Value(j)) without boxing either row:
+// NULL equals nothing, and INT and DOUBLE compare numerically.
+func (c *Column) EqualAt(i int, o *Column, j int) bool {
+	if c.IsNull(i) || o.IsNull(j) {
+		return false
+	}
+	if c.T != o.T {
+		return c.T.IsNumeric() && o.T.IsNumeric() && c.floatAt(i) == o.floatAt(j)
+	}
+	switch c.T {
+	case Int64:
+		return c.Ints[i] == o.Ints[j]
+	case Float64:
+		return c.Floats[i] == o.Floats[j]
+	case String:
+		return c.Strs[i] == o.Strs[j]
+	case Bool:
+		return c.Bools[i] == o.Bools[j]
+	}
+	return false
+}
+
+// AppendAt appends row j of o, as Append(o.Value(j)) would, without boxing
+// it.
+func (c *Column) AppendAt(o *Column, j int) {
+	if o.IsNull(j) {
+		c.AppendNull()
+		return
+	}
+	c.growNulls(false)
+	switch c.T {
+	case Int64:
+		c.Ints = append(c.Ints, o.intAt(j))
+	case Float64:
+		c.Floats = append(c.Floats, o.floatAt(j))
+	case String:
+		var s string
+		if o.T == String {
+			s = o.Strs[j]
+		}
+		c.Strs = append(c.Strs, s)
+	case Bool:
+		c.Bools = append(c.Bools, o.T == Bool && o.Bools[j])
+	}
+}
+
+// floatAt and intAt read a non-NULL row the way Value.AsFloat and
+// Value.AsInt read its Value.
+func (c *Column) floatAt(i int) float64 {
+	switch c.T {
+	case Int64:
+		return float64(c.Ints[i])
+	case Float64:
+		return c.Floats[i]
+	}
+	return 0
+}
+
+func (c *Column) intAt(i int) int64 {
+	switch c.T {
+	case Int64:
+		return c.Ints[i]
+	case Float64:
+		return int64(c.Floats[i])
+	}
+	return 0
+}
+
 // Append adds a value to the column. The value must match the column type
 // (numeric widening from Int64 to Float64 is performed).
 func (c *Column) Append(v Value) {
@@ -140,21 +229,22 @@ func (c *Column) growNulls(null bool) {
 }
 
 // Slice returns a view of rows [lo, hi). The returned column shares storage
-// with c; it must not be appended to.
+// with c, capped at hi, so appending to it copies instead of overwriting
+// c's later rows.
 func (c *Column) Slice(lo, hi int) *Column {
 	out := &Column{T: c.T}
 	switch c.T {
 	case Int64:
-		out.Ints = c.Ints[lo:hi]
+		out.Ints = c.Ints[lo:hi:hi]
 	case Float64:
-		out.Floats = c.Floats[lo:hi]
+		out.Floats = c.Floats[lo:hi:hi]
 	case String:
-		out.Strs = c.Strs[lo:hi]
+		out.Strs = c.Strs[lo:hi:hi]
 	case Bool:
-		out.Bools = c.Bools[lo:hi]
+		out.Bools = c.Bools[lo:hi:hi]
 	}
 	if c.Nulls != nil {
-		out.Nulls = c.Nulls[lo:hi]
+		out.Nulls = c.Nulls[lo:hi:hi]
 	}
 	return out
 }
@@ -219,41 +309,6 @@ func (c *Column) AppendColumn(o *Column) {
 		c.Nulls = append(c.Nulls, make([]bool, n)...)
 	default:
 		c.Nulls = append(c.Nulls, o.Nulls...)
-	}
-}
-
-// AppendRepeat appends n copies of v.
-func (c *Column) AppendRepeat(v Value, n int) {
-	if v.Null {
-		for i := 0; i < n; i++ {
-			c.AppendNull()
-		}
-		return
-	}
-	oldLen := c.Len()
-	switch c.T {
-	case Int64:
-		x := v.AsInt()
-		for i := 0; i < n; i++ {
-			c.Ints = append(c.Ints, x)
-		}
-	case Float64:
-		x := v.AsFloat()
-		for i := 0; i < n; i++ {
-			c.Floats = append(c.Floats, x)
-		}
-	case String:
-		for i := 0; i < n; i++ {
-			c.Strs = append(c.Strs, v.S)
-		}
-	case Bool:
-		for i := 0; i < n; i++ {
-			c.Bools = append(c.Bools, v.B)
-		}
-	}
-	if c.Nulls != nil {
-		c.Nulls = append(c.Nulls, make([]bool, n)...)
-		_ = oldLen
 	}
 }
 

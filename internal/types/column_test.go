@@ -1,6 +1,8 @@
 package types
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +178,79 @@ func TestConstColumn(t *testing.T) {
 	n := ConstColumn(NewNull(String), 2)
 	if !n.IsNull(0) || !n.IsNull(1) {
 		t.Error("ConstColumn of NULL should be all null")
+	}
+}
+
+// typedAtColumns returns one column per type whose rows cover NULLs,
+// signed zeros, NaN, INT/DOUBLE values that are numerically equal, and
+// strings and bools.
+func typedAtColumns() []*Column {
+	ints := NewColumn(Int64, 0)
+	floats := NewColumn(Float64, 0)
+	strs := NewColumn(String, 0)
+	bools := NewColumn(Bool, 0)
+	for _, v := range []int64{0, 1, -1, 1 << 53, 7} {
+		ints.AppendInt(v)
+	}
+	ints.AppendNull()
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, 1.5, math.NaN(), 1 << 53} {
+		floats.AppendFloat(v)
+	}
+	floats.AppendNull()
+	for _, v := range []string{"", "a", "1"} {
+		strs.AppendString(v)
+	}
+	strs.AppendNull()
+	bools.AppendBool(true)
+	bools.AppendBool(false)
+	bools.AppendNull()
+	unknown := &Column{T: Unknown, Nulls: []bool{true, true}}
+	return []*Column{ints, floats, strs, bools, unknown}
+}
+
+// TestTypedAtHelpersMatchValues checks HashAt, EqualAt and AppendAt
+// against Value(i).Hash(), Value.Equal and Append(Value) on every pair of
+// rows across every pair of column types.
+func TestTypedAtHelpersMatchValues(t *testing.T) {
+	cols := typedAtColumns()
+	for _, c := range cols {
+		for i := 0; i < c.Len(); i++ {
+			if got, want := c.HashAt(i), c.Value(i).Hash(); got != want {
+				t.Errorf("%s row %d: HashAt = %x, Value.Hash = %x", c.T, i, got, want)
+			}
+			for _, o := range cols {
+				for j := 0; j < o.Len(); j++ {
+					if got, want := c.EqualAt(i, o, j), c.Value(i).Equal(o.Value(j)); got != want {
+						t.Errorf("%s[%d] = %s[%d]: EqualAt %v, Value.Equal %v", c.T, i, o.T, j, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, dst := range cols {
+		for _, src := range cols {
+			got, want := NewColumn(dst.T, 0), NewColumn(dst.T, 0)
+			for j := 0; j < src.Len(); j++ {
+				got.AppendAt(src, j)
+				want.Append(src.Value(j))
+			}
+			// %+v prints NaN and -0 apart from 0, which DeepEqual cannot.
+			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+				t.Errorf("AppendAt %s into %s = %+v, Append(Value) = %+v", src.T, dst.T, got, want)
+			}
+		}
+	}
+}
+
+func TestSliceCapsCapacity(t *testing.T) {
+	c := NewColumn(Int64, 8)
+	for i := int64(0); i < 4; i++ {
+		c.AppendInt(i)
+	}
+	c.AppendNull()
+	s := c.Slice(1, 3)
+	s.AppendInt(99)
+	if c.Ints[3] != 3 || !c.IsNull(4) || c.IsNull(3) {
+		t.Fatalf("appending to a slice overwrote the parent: %+v", c)
 	}
 }

@@ -198,7 +198,7 @@ func cmpFloat(a, b float64) int {
 // cross-type joins group correctly.
 func (v Value) Hash() uint64 {
 	if v.Null {
-		return 0x9e3779b97f4a7c15
+		return nullHash
 	}
 	switch v.T {
 	case Int64:
@@ -217,6 +217,10 @@ func (v Value) Hash() uint64 {
 	}
 	return 0
 }
+
+// nullHash is the hash of every NULL, so GROUP BY can put them in one
+// group.
+const nullHash = 0x9e3779b97f4a7c15
 
 func hashFloat(f float64) uint64 {
 	if f == 0 {
