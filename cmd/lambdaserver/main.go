@@ -51,7 +51,7 @@ func main() {
 		grace       = flag.Duration("grace", server.DefaultDrainGrace, "how long a drain lets in-flight statements finish")
 		logFormat   = flag.String("log-format", "text", "structured log format: text or json")
 		readyMaxLag = flag.Int64("ready-max-lag", 0, "replica /readyz fails when commit-clock lag exceeds this many records (0 = no lag gate)")
-		syncReps    = flag.Int("sync-replicas", 0, "acknowledge a commit only after this many replicas durably acked it (0 = asynchronous replication)")
+		syncReps    = flag.Int("sync-replicas", 0, "acknowledge a commit only after this many replicas durably acked it, also once this node is promoted (0 = asynchronous replication)")
 		syncTimeout = flag.Duration("sync-timeout", 0, "how long a semi-synchronous commit waits for replica acks before erroring (0 = 5s)")
 		slowLog     = flag.String("slow-log", "", "append slow statements as JSON lines to this file (requires -slow-threshold)")
 		slowThresh  = flag.Duration("slow-threshold", 0, "statements at least this slow land in the slow-query log")

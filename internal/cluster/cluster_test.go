@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -308,4 +309,41 @@ func TestRouterFailoverFencingAndRejoin(t *testing.T) {
 		res, err := execOn(t, n1.addr, "SELECT COUNT(*) FROM kv")
 		return err == nil && res.Rows[0][0].AsInt() == int64(acked)
 	})
+}
+
+// TestPromotedNodeUsesItsOwnSyncReplicas pins the semi-sync rule of
+// DESIGN.md §18: -sync-replicas is per-process configuration, so a promoted
+// node applies the value it was started with, not its old primary's.
+// Promoted with no follower, a node started with SyncReplicas=1 cannot
+// confirm a commit; one started with SyncReplicas=0 commits alone.
+func TestPromotedNodeUsesItsOwnSyncReplicas(t *testing.T) {
+	for _, syncReplicas := range []int{1, 0} {
+		t.Run(fmt.Sprintf("sync=%d", syncReplicas), func(t *testing.T) {
+			primary := startNode(t, t.TempDir(), "", "", 0)
+			if _, err := execOn(t, primary.addr, "CREATE TABLE kv (k INT, v INT)"); err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			n := startNode(t, t.TempDir(), "", primary.addr, syncReplicas)
+			defer n.close()
+			waitFor(t, 15*time.Second, "the replica to receive the table", func() bool {
+				_, err := execOn(t, n.addr, "SELECT COUNT(*) FROM kv")
+				return err == nil
+			})
+			primary.close()
+
+			// Keep the unconfirmed commit's wait short; the rule under test
+			// is whether the promoted node waits at all.
+			n.node.cfg.Primary.SyncTimeout = 200 * time.Millisecond
+			if _, err := n.node.Promote(context.Background()); err != nil {
+				t.Fatalf("promote: %v", err)
+			}
+			_, err := execOn(t, n.addr, "INSERT INTO kv VALUES (1, 1)")
+			switch {
+			case syncReplicas > 0 && (err == nil || !strings.Contains(err.Error(), "durable locally but unconfirmed")):
+				t.Fatalf("INSERT on a promoted SyncReplicas=1 node with no follower: err = %v, want durable locally but unconfirmed", err)
+			case syncReplicas == 0 && err != nil:
+				t.Fatalf("INSERT on a promoted SyncReplicas=0 node: %v", err)
+			}
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -328,5 +329,35 @@ func TestIterateKMeansStepInSQL(t *testing.T) {
 	}
 	if len(r.Rows) != 1 {
 		t.Errorf("rows = %v", r.Rows)
+	}
+}
+
+// TestAnalyticalOperatorsRejectNullInput checks that every operator that
+// reads its input as numbers rejects a NULL with an error naming the
+// column, instead of computing on a made-up value.
+func TestAnalyticalOperatorsRejectNullInput(t *testing.T) {
+	db := Open(WithWorkers(2))
+	db.MustExec(`CREATE TABLE pts (x DOUBLE, y DOUBLE)`)
+	db.MustExec(`INSERT INTO pts VALUES (0, 0), (1, NULL), (9, 9)`)
+	db.MustExec(`CREATE TABLE ctr (x DOUBLE, y DOUBLE)`)
+	db.MustExec(`INSERT INTO ctr VALUES (0, 0), (9, 9)`)
+	db.MustExec(`CREATE TABLE train (f1 DOUBLE, f2 DOUBLE, label BIGINT)`)
+	db.MustExec(`INSERT INTO train VALUES (0, 0, 0), (0.1, 0.2, 0), (5, 5, 1), (5.1, 4.9, 1)`)
+	db.MustExec(`CREATE TABLE probe (f1 DOUBLE, f2 DOUBLE)`)
+	db.MustExec(`INSERT INTO probe VALUES (0, 0), (5, NULL)`)
+	db.MustExec(`CREATE TABLE wedges (src BIGINT, dest BIGINT, w DOUBLE)`)
+	db.MustExec(`INSERT INTO wedges VALUES (0, 1, 1.0), (1, 0, NULL)`)
+	for _, tc := range []struct{ q, col string }{
+		{`SELECT * FROM KMEANS ((SELECT x, y FROM pts), (SELECT x, y FROM ctr), 5)`, "y"},
+		{`SELECT * FROM KMEANS_ASSIGN ((SELECT x, y FROM pts), (SELECT x, y FROM ctr))`, "y"},
+		{`SELECT * FROM NAIVE_BAYES_PREDICT (
+			(SELECT * FROM NAIVE_BAYES_TRAIN ((SELECT f1, f2, label FROM train))),
+			(SELECT f1, f2 FROM probe))`, "f2"},
+		{`SELECT * FROM PAGERANK ((SELECT src, dest, w FROM wedges), λ(e) e.w, 0.85, 0.0, 10)`, "w"},
+	} {
+		_, err := db.Query(tc.q)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("NULL in analytical input column %q", tc.col)) {
+			t.Errorf("Query(%s): err = %v, want NULL in column %q", tc.q, err, tc.col)
+		}
 	}
 }

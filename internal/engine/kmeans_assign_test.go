@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -71,5 +72,35 @@ func TestKMeansAssignErrors(t *testing.T) {
 		if _, err := db.Query(q); err == nil {
 			t.Errorf("Query(%q) should fail", q)
 		}
+	}
+}
+
+// TestKMeansAssignInputsAreOptimized checks that the optimizer reaches
+// kmeans_assign's input subqueries as it does kmeans's: a selective
+// predicate on an indexed, analyzed table becomes an index probe.
+func TestKMeansAssignInputsAreOptimized(t *testing.T) {
+	db := Open()
+	db.MustExec(`CREATE TABLE p (id BIGINT, x DOUBLE, y DOUBLE)`)
+	db.MustExec(`INSERT INTO p VALUES (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4), (5, 5, 5),
+		(6, 6, 6), (7, 7, 7), (8, 8, 8), (9, 9, 9), (10, 10, 10)`)
+	db.MustExec(`CREATE TABLE c (x DOUBLE, y DOUBLE)`)
+	db.MustExec(`INSERT INTO c VALUES (0, 0), (9, 9)`)
+	db.MustExec(`CREATE INDEX p_id ON p (id)`)
+	db.MustExec(`ANALYZE`)
+	for _, q := range []string{
+		`EXPLAIN SELECT * FROM kmeans((SELECT x, y FROM p WHERE id = 5), (SELECT x, y FROM c), 3)`,
+		`EXPLAIN SELECT * FROM kmeans_assign((SELECT x, y FROM p WHERE id = 5), (SELECT x, y FROM c))`,
+	} {
+		if out := explainText(t, db, q); !strings.Contains(out, "IndexScan p using p_id (id = 5)") {
+			t.Errorf("%s: input not optimized:\n%s", q, out)
+		}
+	}
+	r, err := db.Query(`SELECT id, cluster FROM kmeans_assign((SELECT id, x, y FROM p WHERE id = 5),
+		(SELECT 0.0 AS id, x, y FROM c))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 1 || r.Rows[0][0].I != 5 || r.Rows[0][1].I != 1 {
+		t.Errorf("rows = %v, want [[5 1]]", r.Rows)
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"lambdadb/internal/analytics"
@@ -78,22 +79,33 @@ func drainFloatsSerial(p plan.Node, ctx *Context, d int) ([]float64, int, error)
 			break
 		}
 		rows := b.Len()
+		data = slices.Grow(data, rows*d)
 		for i := 0; i < rows; i++ {
-			for j := 0; j < d; j++ {
-				col := b.Cols[j]
-				if col.IsNull(i) {
-					return nil, 0, fmt.Errorf("NULL in analytical input column %q", b.Schema[j].Name)
-				}
-				if col.T == types.Int64 {
-					data = append(data, float64(col.Ints[i]))
-				} else {
-					data = append(data, col.Floats[i])
-				}
+			data = data[:len(data)+d]
+			if err := rowFloats(data[len(data)-d:], b, i); err != nil {
+				return nil, 0, err
 			}
 		}
 		n += rows
 	}
 	return data, n, nil
+}
+
+// rowFloats copies row i of b's first len(dst) columns into dst. NULLs in
+// analytical inputs are rejected with an error naming the column.
+func rowFloats(dst []float64, b *types.Batch, i int) error {
+	for j := range dst {
+		col := b.Cols[j]
+		if col.IsNull(i) {
+			return fmt.Errorf("NULL in analytical input column %q", b.Schema[j].Name)
+		}
+		if col.T == types.Int64 {
+			dst[j] = float64(col.Ints[i])
+		} else {
+			dst[j] = col.Floats[i]
+		}
+	}
+	return nil
 }
 
 // kmeansOp is the physical k-Means operator (paper Section 6.1).
@@ -211,16 +223,8 @@ func (k *kmeansAssignOp) Open(ctx *Context) error {
 		n := b.Len()
 		clusterCol := types.NewColumn(types.Int64, n)
 		for i := 0; i < n; i++ {
-			for j := 0; j < d; j++ {
-				col := b.Cols[j]
-				if col.IsNull(i) {
-					return fmt.Errorf("NULL in analytical input column %q", b.Schema[j].Name)
-				}
-				if col.T == types.Int64 {
-					row[j] = float64(col.Ints[i])
-				} else {
-					row[j] = col.Floats[i]
-				}
+			if err := rowFloats(row, b, i); err != nil {
+				return err
 			}
 			best := analytics.Assign(row, 1, d, centers.data, centers.n, k.dist, 1)
 			clusterCol.AppendInt(int64(best[0]))
@@ -348,16 +352,8 @@ func drainEdges(p plan.Node, ctx *Context, weight expr.FloatFn) (src, dst []int6
 			continue
 		}
 		for i := 0; i < n; i++ {
-			for j := 0; j < ncols; j++ {
-				col := b.Cols[j]
-				if col.IsNull(i) {
-					return nil, nil, nil, fmt.Errorf("NULL in edge property column %q", b.Schema[j].Name)
-				}
-				if col.T == types.Int64 {
-					tuple[j] = float64(col.Ints[i])
-				} else {
-					tuple[j] = col.Floats[i]
-				}
+			if err := rowFloats(tuple, b, i); err != nil {
+				return nil, nil, nil, err
 			}
 			w := weight(tuple, nil)
 			if w < 0 {
@@ -460,7 +456,7 @@ func relationToModel(mat *Materialized) (*analytics.NBModel, error) {
 	for l := range priors {
 		labels = append(labels, l)
 	}
-	sortInt64s(labels)
+	slices.Sort(labels)
 	d := int(maxFeature + 1)
 	m := &analytics.NBModel{Labels: labels}
 	for _, l := range labels {
@@ -479,14 +475,6 @@ func relationToModel(mat *Materialized) (*analytics.NBModel, error) {
 		m.Stds = append(m.Stds, ss)
 	}
 	return m, nil
-}
-
-func sortInt64s(v []int64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 // nbPredictOp applies a trained model to feature rows, appending the
@@ -527,16 +515,8 @@ func (p *nbPredictOp) Open(ctx *Context) error {
 		n := b.Len()
 		labelCol := types.NewColumn(types.Int64, n)
 		for i := 0; i < n; i++ {
-			for j := 0; j < d; j++ {
-				col := b.Cols[j]
-				if col.IsNull(i) {
-					return fmt.Errorf("NULL in analytical input column %q", b.Schema[j].Name)
-				}
-				if col.T == types.Int64 {
-					row[j] = float64(col.Ints[i])
-				} else {
-					row[j] = col.Floats[i]
-				}
+			if err := rowFloats(row, b, i); err != nil {
+				return err
 			}
 			labelCol.AppendInt(model.Predict(row))
 		}

@@ -24,6 +24,11 @@ func (c *countingNode) Card() float64        { return c.inner.Card() }
 func (c *countingNode) Children() []plan.Node {
 	return []plan.Node{c.inner}
 }
+func (c *countingNode) WithChildren(k []plan.Node) plan.Node {
+	cc := *c
+	cc.inner = k[0].(*plan.Values)
+	return &cc
+}
 func (c *countingNode) Explain() string { return "Counting" }
 
 // countingOp executes the inner values and bumps the counter on Open.

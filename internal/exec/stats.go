@@ -156,30 +156,13 @@ func (sc *StatsCollector) AddIteration(node plan.Node, it IterationStat) {
 func (sc *StatsCollector) aliasPipeline(orig, clone plan.Node) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	for orig != nil && clone != nil && orig != clone {
+	for orig != clone {
 		sc.alias[clone] = orig
-		switch o := orig.(type) {
-		case *plan.Filter:
-			c, ok := clone.(*plan.Filter)
-			if !ok {
-				return
-			}
-			orig, clone = o.Child, c.Child
-		case *plan.Project:
-			c, ok := clone.(*plan.Project)
-			if !ok {
-				return
-			}
-			orig, clone = o.Child, c.Child
-		case *plan.Alias:
-			c, ok := clone.(*plan.Alias)
-			if !ok {
-				return
-			}
-			orig, clone = o.Child, c.Child
-		default:
+		o, c := orig.Children(), clone.Children()
+		if len(o) != 1 || len(c) != 1 {
 			return
 		}
+		orig, clone = o[0], c[0]
 	}
 }
 

@@ -142,53 +142,14 @@ func flipCmp(op expr.Op) expr.Op {
 // greedily by estimated cardinality. Left joins and non-join nodes bound
 // the flattening (their subtrees are reordered independently).
 func reorderJoins(n Node) Node {
-	if j, ok := n.(*Join); ok && j.Type != LeftJoin {
-		if nj := tryReorder(j); nj != nil {
-			return nj
+	w := &rewriter{}
+	w.pre = func(m Node) Node {
+		if j, ok := m.(*Join); ok && j.Type != LeftJoin {
+			return tryReorder(j, w)
 		}
+		return nil
 	}
-	switch t := n.(type) {
-	case *Filter:
-		t.Child = reorderJoins(t.Child)
-	case *Project:
-		t.Child = reorderJoins(t.Child)
-	case *Alias:
-		t.Child = reorderJoins(t.Child)
-	case *Shared:
-		t.Child = reorderJoins(t.Child)
-	case *Join:
-		t.L = reorderJoins(t.L)
-		t.R = reorderJoins(t.R)
-	case *Aggregate:
-		t.Child = reorderJoins(t.Child)
-	case *Sort:
-		t.Child = reorderJoins(t.Child)
-	case *Limit:
-		t.Child = reorderJoins(t.Child)
-	case *Distinct:
-		t.Child = reorderJoins(t.Child)
-	case *Union:
-		t.L = reorderJoins(t.L)
-		t.R = reorderJoins(t.R)
-	case *RecursiveCTE:
-		t.Init = reorderJoins(t.Init)
-		t.Rec = reorderJoins(t.Rec)
-	case *Iterate:
-		t.Init = reorderJoins(t.Init)
-		t.Step = reorderJoins(t.Step)
-		t.Stop = reorderJoins(t.Stop)
-	case *KMeans:
-		t.Data = reorderJoins(t.Data)
-		t.Centers = reorderJoins(t.Centers)
-	case *PageRank:
-		t.Edges = reorderJoins(t.Edges)
-	case *NaiveBayesTrain:
-		t.Data = reorderJoins(t.Data)
-	case *NaiveBayesPredict:
-		t.Model = reorderJoins(t.Model)
-		t.Data = reorderJoins(t.Data)
-	}
-	return n
+	return w.node(n)
 }
 
 // joinLeaf is one relation of a flattened join tree, with its column range
@@ -208,8 +169,9 @@ type joinCond struct {
 }
 
 // tryReorder flattens j and rebuilds it greedily; returns nil when the
-// tree is too small to bother (fewer than three leaves).
-func tryReorder(j *Join) Node {
+// tree is too small to bother (fewer than three leaves). Nested join trees
+// under the leaves are reordered through w, the enclosing walk.
+func tryReorder(j *Join, w *rewriter) Node {
 	origSchema := j.Schema()
 	var leaves []joinLeaf
 	var preds []expr.Expr
@@ -219,7 +181,7 @@ func tryReorder(j *Join) Node {
 	}
 	// Reorder nested join trees hiding behind flattening boundaries.
 	for i := range leaves {
-		leaves[i].node = reorderJoins(leaves[i].node)
+		leaves[i].node = w.node(leaves[i].node)
 	}
 	// Attach leaf ids to each conjunct.
 	conds := make([]*joinCond, 0, len(preds))

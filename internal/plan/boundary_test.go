@@ -10,26 +10,32 @@ import (
 // TestNoPushdownThroughAnalyticalOperators verifies the paper's Section 5.2
 // observation: selections cannot be pushed through analytical operators
 // because their result depends on the whole input. A filter above KMEANS
-// must stay above it.
+// must stay above it, and so must one above KMEANS_ASSIGN, whose inputs the
+// optimizer does visit.
 func TestNoPushdownThroughAnalyticalOperators(t *testing.T) {
 	s := testStore(t)
-	st, err := sql.ParseOne(`SELECT * FROM KMEANS ((SELECT a, b FROM t), (SELECT a, v FROM u), 3) WHERE cluster = 0`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBuilder(s, s.Snapshot())
-	n, err := b.BuildSelect(st.(*sql.Select))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree := ExplainTree(n)
-	filterAt := strings.Index(tree, "Filter")
-	kmeansAt := strings.Index(tree, "KMeans")
-	if filterAt < 0 || kmeansAt < 0 {
-		t.Fatalf("plan missing nodes:\n%s", tree)
-	}
-	if filterAt > kmeansAt {
-		t.Errorf("filter pushed through the analytical operator:\n%s", tree)
+	for _, q := range []string{
+		`SELECT * FROM KMEANS ((SELECT a, b FROM t), (SELECT a, v FROM u), 3) WHERE cluster = 0`,
+		`SELECT * FROM KMEANS_ASSIGN ((SELECT a, b FROM t), (SELECT a, v FROM u)) WHERE cluster = 0 AND a > 5`,
+	} {
+		st, err := sql.ParseOne(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewBuilder(s, s.Snapshot())
+		n, err := b.BuildSelect(st.(*sql.Select))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := ExplainTree(n)
+		filterAt := strings.Index(tree, "Filter")
+		kmeansAt := strings.Index(tree, "KMeans")
+		if filterAt < 0 || kmeansAt < 0 {
+			t.Fatalf("plan missing nodes:\n%s", tree)
+		}
+		if filterAt > kmeansAt || strings.Count(tree, "Filter") != 1 {
+			t.Errorf("filter pushed through the analytical operator:\n%s", tree)
+		}
 	}
 }
 

@@ -16,11 +16,12 @@ type Alias struct {
 	Name  string
 }
 
-func (a *Alias) Schema() types.Schema { return a.Child.Schema() }
-func (a *Alias) Quals() []string      { return uniformQuals(len(a.Child.Schema()), a.Name) }
-func (a *Alias) Card() float64        { return a.Child.Card() }
-func (a *Alias) Children() []Node     { return []Node{a.Child} }
-func (a *Alias) Explain() string      { return fmt.Sprintf("Alias %s", a.Name) }
+func (a *Alias) Schema() types.Schema       { return a.Child.Schema() }
+func (a *Alias) Quals() []string            { return uniformQuals(len(a.Child.Schema()), a.Name) }
+func (a *Alias) Card() float64              { return a.Child.Card() }
+func (a *Alias) Children() []Node           { return []Node{a.Child} }
+func (a *Alias) WithChildren(k []Node) Node { c := *a; c.Child = k[0]; return &c }
+func (a *Alias) Explain() string            { return fmt.Sprintf("Alias %s", a.Name) }
 
 // Builder translates parsed SQL queries into logical plans.
 type Builder struct {

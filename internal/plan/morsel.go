@@ -12,22 +12,19 @@ import "fmt"
 // root of a Filter/Project/Alias pipeline, or nil when the pipeline is not
 // splittable.
 func MorselLeaf(p Node) Node {
-	switch n := p.(type) {
-	case *Scan:
-		return n
-	case *WorkingScan:
-		return n
-	case *Filter:
-		return MorselLeaf(n.Child)
-	case *Project:
-		return MorselLeaf(n.Child)
-	case *Alias:
-		return MorselLeaf(n.Child)
+	for {
+		switch p.(type) {
+		case *Scan, *WorkingScan:
+			return p
+		case *Filter, *Project, *Alias:
+			p = p.Children()[0]
+		default:
+			return nil
+		}
 	}
-	return nil
 }
 
-// ClonePipeline copies a Filter/Project/Alias chain with the leaf scan
+// ClonePipeline copies a pipeline MorselLeaf accepts, with the leaf scan
 // restricted to [lo, hi). Expressions are shared; they are immutable after
 // planning.
 func ClonePipeline(p Node, lo, hi int) Node {
@@ -40,20 +37,13 @@ func ClonePipeline(p Node, lo, hi int) Node {
 		c := *n
 		c.Lo, c.Hi = lo, hi
 		return &c
-	case *Filter:
-		c := *n
-		c.Child = ClonePipeline(n.Child, lo, hi)
-		return &c
-	case *Project:
-		c := *n
-		c.Child = ClonePipeline(n.Child, lo, hi)
-		return &c
-	case *Alias:
-		c := *n
-		c.Child = ClonePipeline(n.Child, lo, hi)
-		return &c
 	}
-	panic(fmt.Sprintf("plan.ClonePipeline: unexpected node %T", p))
+	kids := p.Children()
+	if len(kids) != 1 {
+		panic(fmt.Sprintf("plan.ClonePipeline: unexpected node %T", p))
+	}
+	kids[0] = ClonePipeline(kids[0], lo, hi)
+	return p.WithChildren(kids)
 }
 
 // SplitPipeline clones p into row-range morsels covering [0, rows). It

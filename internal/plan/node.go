@@ -26,8 +26,15 @@ type Node interface {
 	Quals() []string
 	// Card estimates output cardinality (rows).
 	Card() float64
-	// Children returns input plans.
+	// Children returns the input plans in a fresh slice, which the caller
+	// may overwrite (for instance to pass it on to WithChildren).
 	Children() []Node
+	// WithChildren returns a shallow copy of the node with its inputs
+	// replaced by kids, given in Children order; it does not retain kids.
+	// Leaves ignore kids and return a plain copy. Every structural walk
+	// over plans goes through Children and WithChildren, so a node type
+	// declares its inputs exactly once.
+	WithChildren(kids []Node) Node
 	// Explain renders one line describing this node.
 	Explain() string
 }
@@ -49,11 +56,12 @@ func NewScan(rel catalog.Relation, alias string, snapshot uint64) *Scan {
 	return &Scan{Rel: rel, Alias: alias, Snapshot: snapshot, Lo: 0, Hi: -1}
 }
 
-func (s *Scan) Schema() types.Schema { return s.Rel.Schema() }
-func (s *Scan) Quals() []string      { return uniformQuals(len(s.Rel.Schema()), s.Alias) }
-func (s *Scan) Card() float64        { return float64(s.Rel.NumRows(s.Snapshot)) }
-func (s *Scan) Children() []Node     { return nil }
-func (s *Scan) Explain() string      { return fmt.Sprintf("Scan %s", s.Alias) }
+func (s *Scan) Schema() types.Schema     { return s.Rel.Schema() }
+func (s *Scan) Quals() []string          { return uniformQuals(len(s.Rel.Schema()), s.Alias) }
+func (s *Scan) Card() float64            { return float64(s.Rel.NumRows(s.Snapshot)) }
+func (s *Scan) Children() []Node         { return nil }
+func (s *Scan) WithChildren([]Node) Node { c := *s; return &c }
+func (s *Scan) Explain() string          { return fmt.Sprintf("Scan %s", s.Alias) }
 
 func uniformQuals(n int, q string) []string {
 	out := make([]string, n)
@@ -88,10 +96,11 @@ type IndexScan struct {
 	EstRows float64
 }
 
-func (s *IndexScan) Schema() types.Schema { return s.Rel.Schema() }
-func (s *IndexScan) Quals() []string      { return uniformQuals(len(s.Rel.Schema()), s.Alias) }
-func (s *IndexScan) Card() float64        { return s.EstRows }
-func (s *IndexScan) Children() []Node     { return nil }
+func (s *IndexScan) Schema() types.Schema     { return s.Rel.Schema() }
+func (s *IndexScan) Quals() []string          { return uniformQuals(len(s.Rel.Schema()), s.Alias) }
+func (s *IndexScan) Card() float64            { return s.EstRows }
+func (s *IndexScan) Children() []Node         { return nil }
+func (s *IndexScan) WithChildren([]Node) Node { c := *s; return &c }
 func (s *IndexScan) Explain() string {
 	return fmt.Sprintf("IndexScan %s using %s (%s) est=%.0f", s.Alias, s.Index, s.probeString(), s.EstRows)
 }
@@ -145,9 +154,10 @@ func (w *WorkingScan) Quals() []string {
 	}
 	return uniformQuals(len(w.Sch), q)
 }
-func (w *WorkingScan) Card() float64    { return w.CardEst }
-func (w *WorkingScan) Children() []Node { return nil }
-func (w *WorkingScan) Explain() string  { return fmt.Sprintf("WorkingScan %s", w.Name) }
+func (w *WorkingScan) Card() float64            { return w.CardEst }
+func (w *WorkingScan) Children() []Node         { return nil }
+func (w *WorkingScan) WithChildren([]Node) Node { c := *w; return &c }
+func (w *WorkingScan) Explain() string          { return fmt.Sprintf("WorkingScan %s", w.Name) }
 
 // Values produces literal rows.
 type Values struct {
@@ -155,11 +165,12 @@ type Values struct {
 	Rows [][]types.Value
 }
 
-func (v *Values) Schema() types.Schema { return v.Sch }
-func (v *Values) Quals() []string      { return uniformQuals(len(v.Sch), "") }
-func (v *Values) Card() float64        { return float64(len(v.Rows)) }
-func (v *Values) Children() []Node     { return nil }
-func (v *Values) Explain() string      { return fmt.Sprintf("Values (%d rows)", len(v.Rows)) }
+func (v *Values) Schema() types.Schema     { return v.Sch }
+func (v *Values) Quals() []string          { return uniformQuals(len(v.Sch), "") }
+func (v *Values) Card() float64            { return float64(len(v.Rows)) }
+func (v *Values) Children() []Node         { return nil }
+func (v *Values) WithChildren([]Node) Node { c := *v; return &c }
+func (v *Values) Explain() string          { return fmt.Sprintf("Values (%d rows)", len(v.Rows)) }
 
 // Filter keeps rows satisfying a boolean predicate.
 type Filter struct {
@@ -179,8 +190,9 @@ func (f *Filter) Card() float64 {
 	}
 	return f.Child.Card() * s
 }
-func (f *Filter) Children() []Node { return []Node{f.Child} }
-func (f *Filter) Explain() string  { return fmt.Sprintf("Filter %s", f.Pred) }
+func (f *Filter) Children() []Node           { return []Node{f.Child} }
+func (f *Filter) WithChildren(k []Node) Node { c := *f; c.Child = k[0]; return &c }
+func (f *Filter) Explain() string            { return fmt.Sprintf("Filter %s", f.Pred) }
 
 // selectivity is a coarse textbook heuristic keyed on the predicate shape.
 func selectivity(e expr.Expr) float64 {
@@ -220,9 +232,10 @@ func (p *Project) Schema() types.Schema {
 	}
 	return out
 }
-func (p *Project) Quals() []string  { return uniformQuals(len(p.Exprs), "") }
-func (p *Project) Card() float64    { return p.Child.Card() }
-func (p *Project) Children() []Node { return []Node{p.Child} }
+func (p *Project) Quals() []string            { return uniformQuals(len(p.Exprs), "") }
+func (p *Project) Card() float64              { return p.Child.Card() }
+func (p *Project) Children() []Node           { return []Node{p.Child} }
+func (p *Project) WithChildren(k []Node) Node { c := *p; c.Child = k[0]; return &c }
 func (p *Project) Explain() string {
 	parts := make([]string, len(p.Exprs))
 	for i, e := range p.Exprs {
@@ -285,7 +298,8 @@ func (j *Join) Card() float64 {
 		return l * r * 0.1
 	}
 }
-func (j *Join) Children() []Node { return []Node{j.L, j.R} }
+func (j *Join) Children() []Node           { return []Node{j.L, j.R} }
+func (j *Join) WithChildren(k []Node) Node { c := *j; c.L, c.R = k[0], k[1]; return &c }
 func (j *Join) Explain() string {
 	if j.On != nil {
 		return fmt.Sprintf("%s on %s", j.Type, j.On)
@@ -355,7 +369,8 @@ func (a *Aggregate) Card() float64 {
 	}
 	return c
 }
-func (a *Aggregate) Children() []Node { return []Node{a.Child} }
+func (a *Aggregate) Children() []Node           { return []Node{a.Child} }
+func (a *Aggregate) WithChildren(k []Node) Node { c := *a; c.Child = k[0]; return &c }
 func (a *Aggregate) Explain() string {
 	return fmt.Sprintf("Aggregate keys=%d aggs=%d", len(a.Keys), len(a.Aggs))
 }
@@ -384,7 +399,8 @@ func (s *Sort) Card() float64 {
 	}
 	return c
 }
-func (s *Sort) Children() []Node { return []Node{s.Child} }
+func (s *Sort) Children() []Node           { return []Node{s.Child} }
+func (s *Sort) WithChildren(k []Node) Node { c := *s; c.Child = k[0]; return &c }
 func (s *Sort) Explain() string {
 	if s.TopK >= 0 {
 		return fmt.Sprintf("TopK %d %v", s.TopK, s.Keys)
@@ -408,19 +424,21 @@ func (l *Limit) Card() float64 {
 	}
 	return c
 }
-func (l *Limit) Children() []Node { return []Node{l.Child} }
-func (l *Limit) Explain() string  { return fmt.Sprintf("Limit %d offset %d", l.N, l.Offset) }
+func (l *Limit) Children() []Node           { return []Node{l.Child} }
+func (l *Limit) WithChildren(k []Node) Node { c := *l; c.Child = k[0]; return &c }
+func (l *Limit) Explain() string            { return fmt.Sprintf("Limit %d offset %d", l.N, l.Offset) }
 
 // Distinct removes duplicate rows.
 type Distinct struct {
 	Child Node
 }
 
-func (d *Distinct) Schema() types.Schema { return d.Child.Schema() }
-func (d *Distinct) Quals() []string      { return d.Child.Quals() }
-func (d *Distinct) Card() float64        { return d.Child.Card() * 0.5 }
-func (d *Distinct) Children() []Node     { return []Node{d.Child} }
-func (d *Distinct) Explain() string      { return "Distinct" }
+func (d *Distinct) Schema() types.Schema       { return d.Child.Schema() }
+func (d *Distinct) Quals() []string            { return d.Child.Quals() }
+func (d *Distinct) Card() float64              { return d.Child.Card() * 0.5 }
+func (d *Distinct) Children() []Node           { return []Node{d.Child} }
+func (d *Distinct) WithChildren(k []Node) Node { c := *d; c.Child = k[0]; return &c }
+func (d *Distinct) Explain() string            { return "Distinct" }
 
 // Union concatenates two inputs; without All, duplicates are removed.
 type Union struct {
@@ -428,10 +446,11 @@ type Union struct {
 	All  bool
 }
 
-func (u *Union) Schema() types.Schema { return u.L.Schema() }
-func (u *Union) Quals() []string      { return uniformQuals(len(u.L.Schema()), "") }
-func (u *Union) Card() float64        { return u.L.Card() + u.R.Card() }
-func (u *Union) Children() []Node     { return []Node{u.L, u.R} }
+func (u *Union) Schema() types.Schema       { return u.L.Schema() }
+func (u *Union) Quals() []string            { return uniformQuals(len(u.L.Schema()), "") }
+func (u *Union) Card() float64              { return u.L.Card() + u.R.Card() }
+func (u *Union) Children() []Node           { return []Node{u.L, u.R} }
+func (u *Union) WithChildren(k []Node) Node { c := *u; c.L, c.R = k[0], k[1]; return &c }
 func (u *Union) Explain() string {
 	if u.All {
 		return "UnionAll"
@@ -450,11 +469,12 @@ type RecursiveCTE struct {
 	MaxDepth int  // safety bound against infinite recursion
 }
 
-func (r *RecursiveCTE) Schema() types.Schema { return r.Init.Schema() }
-func (r *RecursiveCTE) Quals() []string      { return uniformQuals(len(r.Init.Schema()), r.Name) }
-func (r *RecursiveCTE) Card() float64        { return r.Init.Card() * 10 }
-func (r *RecursiveCTE) Children() []Node     { return []Node{r.Init, r.Rec} }
-func (r *RecursiveCTE) Explain() string      { return fmt.Sprintf("RecursiveCTE %s", r.Name) }
+func (r *RecursiveCTE) Schema() types.Schema       { return r.Init.Schema() }
+func (r *RecursiveCTE) Quals() []string            { return uniformQuals(len(r.Init.Schema()), r.Name) }
+func (r *RecursiveCTE) Card() float64              { return r.Init.Card() * 10 }
+func (r *RecursiveCTE) Children() []Node           { return []Node{r.Init, r.Rec} }
+func (r *RecursiveCTE) WithChildren(k []Node) Node { c := *r; c.Init, c.Rec = k[0], k[1]; return &c }
+func (r *RecursiveCTE) Explain() string            { return fmt.Sprintf("RecursiveCTE %s", r.Name) }
 
 // Iterate is the paper's non-appending iteration operator (Section 5.1):
 // working = Init; while Stop(working) yields no rows { working =
@@ -472,7 +492,12 @@ func (i *Iterate) Schema() types.Schema { return i.Init.Schema() }
 func (i *Iterate) Quals() []string      { return uniformQuals(len(i.Init.Schema()), "iterate") }
 func (i *Iterate) Card() float64        { return i.Init.Card() }
 func (i *Iterate) Children() []Node     { return []Node{i.Init, i.Step, i.Stop} }
-func (i *Iterate) Explain() string      { return "Iterate" }
+func (i *Iterate) WithChildren(k []Node) Node {
+	c := *i
+	c.Init, c.Step, c.Stop = k[0], k[1], k[2]
+	return &c
+}
+func (i *Iterate) Explain() string { return "Iterate" }
 
 // KMeans is the physical clustering operator (paper Section 6.1),
 // parameterized by a distance lambda (Section 7). Output: cluster id
@@ -495,6 +520,11 @@ func (k *KMeans) Schema() types.Schema {
 func (k *KMeans) Quals() []string  { return uniformQuals(len(k.OutNames)+1, "") }
 func (k *KMeans) Card() float64    { return k.Centers.Card() }
 func (k *KMeans) Children() []Node { return []Node{k.Data, k.Centers} }
+func (k *KMeans) WithChildren(kids []Node) Node {
+	c := *k
+	c.Data, c.Centers = kids[0], kids[1]
+	return &c
+}
 func (k *KMeans) Explain() string {
 	if k.Lambda != nil {
 		return fmt.Sprintf("KMeans maxiter=%d dist=%s", k.MaxIter, k.Lambda)
@@ -519,7 +549,12 @@ func (k *KMeansAssign) Schema() types.Schema {
 func (k *KMeansAssign) Quals() []string  { return uniformQuals(len(k.Data.Schema())+1, "") }
 func (k *KMeansAssign) Card() float64    { return k.Data.Card() }
 func (k *KMeansAssign) Children() []Node { return []Node{k.Data, k.Centers} }
-func (k *KMeansAssign) Explain() string  { return "KMeansAssign" }
+func (k *KMeansAssign) WithChildren(kids []Node) Node {
+	c := *k
+	c.Data, c.Centers = kids[0], kids[1]
+	return &c
+}
+func (k *KMeansAssign) Explain() string { return "KMeansAssign" }
 
 // PageRank is the physical graph-ranking operator (paper Section 6.3).
 // Output: (vertex BIGINT, rank DOUBLE). Lambda, when set, computes a
@@ -536,9 +571,10 @@ type PageRank struct {
 func (p *PageRank) Schema() types.Schema {
 	return types.Schema{{Name: "vertex", Type: types.Int64}, {Name: "rank", Type: types.Float64}}
 }
-func (p *PageRank) Quals() []string  { return uniformQuals(2, "") }
-func (p *PageRank) Card() float64    { return p.Edges.Card() / 10 }
-func (p *PageRank) Children() []Node { return []Node{p.Edges} }
+func (p *PageRank) Quals() []string            { return uniformQuals(2, "") }
+func (p *PageRank) Card() float64              { return p.Edges.Card() / 10 }
+func (p *PageRank) Children() []Node           { return []Node{p.Edges} }
+func (p *PageRank) WithChildren(k []Node) Node { c := *p; c.Edges = k[0]; return &c }
 func (p *PageRank) Explain() string {
 	return fmt.Sprintf("PageRank d=%g eps=%g maxiter=%d", p.Damping, p.Epsilon, p.MaxIter)
 }
@@ -559,11 +595,12 @@ var NBModelSchema = types.Schema{
 	{Name: "stddev", Type: types.Float64},
 }
 
-func (n *NaiveBayesTrain) Schema() types.Schema { return NBModelSchema }
-func (n *NaiveBayesTrain) Quals() []string      { return uniformQuals(len(NBModelSchema), "") }
-func (n *NaiveBayesTrain) Card() float64        { return 2 * float64(len(n.Data.Schema())-1) }
-func (n *NaiveBayesTrain) Children() []Node     { return []Node{n.Data} }
-func (n *NaiveBayesTrain) Explain() string      { return "NaiveBayesTrain" }
+func (n *NaiveBayesTrain) Schema() types.Schema       { return NBModelSchema }
+func (n *NaiveBayesTrain) Quals() []string            { return uniformQuals(len(NBModelSchema), "") }
+func (n *NaiveBayesTrain) Card() float64              { return 2 * float64(len(n.Data.Schema())-1) }
+func (n *NaiveBayesTrain) Children() []Node           { return []Node{n.Data} }
+func (n *NaiveBayesTrain) WithChildren(k []Node) Node { c := *n; c.Data = k[0]; return &c }
+func (n *NaiveBayesTrain) Explain() string            { return "NaiveBayesTrain" }
 
 // NaiveBayesPredict applies a trained model to feature rows, appending the
 // predicted label column.
@@ -579,7 +616,12 @@ func (n *NaiveBayesPredict) Schema() types.Schema {
 func (n *NaiveBayesPredict) Quals() []string  { return uniformQuals(len(n.Data.Schema())+1, "") }
 func (n *NaiveBayesPredict) Card() float64    { return n.Data.Card() }
 func (n *NaiveBayesPredict) Children() []Node { return []Node{n.Model, n.Data} }
-func (n *NaiveBayesPredict) Explain() string  { return "NaiveBayesPredict" }
+func (n *NaiveBayesPredict) WithChildren(k []Node) Node {
+	c := *n
+	c.Model, c.Data = k[0], k[1]
+	return &c
+}
+func (n *NaiveBayesPredict) Explain() string { return "NaiveBayesPredict" }
 
 // ExplainTree renders a plan as an indented tree.
 func ExplainTree(n Node) string {

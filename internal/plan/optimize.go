@@ -39,13 +39,20 @@ func Fold(e expr.Expr) expr.Expr {
 func Optimize(n Node) Node {
 	// Two passes: filters freed by one rule (e.g. hoisted through a
 	// projection) become candidates for the next (e.g. join pushdown).
+	// Every rule here returns a new node when it fires, and rewriteTree
+	// copies the path above it, so an unchanged root means nothing fired
+	// and a second pass would not either.
 	for i := 0; i < 2; i++ {
+		before := n
 		n = rewriteTree(n, mergeFilters)
 		n = rewriteTree(n, pushFilterThroughAlias)
 		n = rewriteTree(n, pushFilterThroughProject)
 		n = rewriteTree(n, pushFilterThroughJoin)
 		n = rewriteTree(n, pushFilterThroughUnion)
 		n = rewriteTree(n, mergeFilters)
+		if n == before {
+			break
+		}
 	}
 	n = rewriteTree(n, fuseTopK)
 	return n
@@ -122,51 +129,59 @@ func pushFilterThroughProject(n Node) Node {
 
 // rewriteTree applies fn bottom-up over the plan.
 func rewriteTree(n Node, fn func(Node) Node) Node {
-	switch t := n.(type) {
-	case *Filter:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Project:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Alias:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Shared:
-		// Shared subtrees are visited once per reference; the rules are
-		// idempotent, and filters never push across the Shared boundary,
-		// so repeated application is safe.
-		t.Child = rewriteTree(t.Child, fn)
-	case *Join:
-		t.L = rewriteTree(t.L, fn)
-		t.R = rewriteTree(t.R, fn)
-	case *Aggregate:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Sort:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Limit:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Distinct:
-		t.Child = rewriteTree(t.Child, fn)
-	case *Union:
-		t.L = rewriteTree(t.L, fn)
-		t.R = rewriteTree(t.R, fn)
-	case *RecursiveCTE:
-		t.Init = rewriteTree(t.Init, fn)
-		t.Rec = rewriteTree(t.Rec, fn)
-	case *Iterate:
-		t.Init = rewriteTree(t.Init, fn)
-		t.Step = rewriteTree(t.Step, fn)
-		t.Stop = rewriteTree(t.Stop, fn)
-	case *KMeans:
-		t.Data = rewriteTree(t.Data, fn)
-		t.Centers = rewriteTree(t.Centers, fn)
-	case *PageRank:
-		t.Edges = rewriteTree(t.Edges, fn)
-	case *NaiveBayesTrain:
-		t.Data = rewriteTree(t.Data, fn)
-	case *NaiveBayesPredict:
-		t.Model = rewriteTree(t.Model, fn)
-		t.Data = rewriteTree(t.Data, fn)
+	w := rewriter{post: fn}
+	return w.node(n)
+}
+
+// rewriter rebuilds a plan through Children and WithChildren. pre, when
+// set, runs top-down and may replace a whole subtree (a non-nil result is
+// returned as is, unvisited); post runs bottom-up on every node after its
+// children. A node is copied only when one of its children changed, so a
+// walk that rewrites nothing copies nothing. The result per original
+// *Shared is memoized: a CTE referenced from several places stays one node,
+// visited once, or the executor would materialize it once per copy.
+type rewriter struct {
+	pre, post func(Node) Node
+	shared    map[*Shared]Node
+}
+
+func (w *rewriter) node(n Node) Node {
+	s, isShared := n.(*Shared)
+	if isShared {
+		if m, ok := w.shared[s]; ok {
+			return m
+		}
 	}
-	return fn(n)
+	out := w.rewrite(n)
+	if isShared {
+		if w.shared == nil {
+			w.shared = map[*Shared]Node{}
+		}
+		w.shared[s] = out
+	}
+	return out
+}
+
+func (w *rewriter) rewrite(n Node) Node {
+	if w.pre != nil {
+		if m := w.pre(n); m != nil {
+			return m
+		}
+	}
+	kids := n.Children()
+	changed := false
+	for i, k := range kids {
+		if nk := w.node(k); nk != k {
+			kids[i], changed = nk, true
+		}
+	}
+	if changed {
+		n = n.WithChildren(kids)
+	}
+	if w.post != nil {
+		n = w.post(n)
+	}
+	return n
 }
 
 // mergeFilters collapses Filter(Filter(x)) into a single conjunction and

@@ -12,7 +12,7 @@ import (
 
 // testStore builds a catalog with two tables: t(a BIGINT, b DOUBLE, s
 // VARCHAR) with 100 rows and u(a BIGINT, v DOUBLE) with 10 rows.
-func testStore(t *testing.T) *storage.Store {
+func testStore(t testing.TB) *storage.Store {
 	t.Helper()
 	s := storage.NewStore()
 	tt, err := s.CreateTable("t", types.Schema{

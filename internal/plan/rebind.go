@@ -14,9 +14,9 @@ import (
 // the bound argument values. args[i] binds $i+1; values are coerced to the
 // type inference stamped on each placeholder occurrence.
 //
-// Expression trees are shared with the template when there are no arguments
-// to substitute — the executor compiles them read-only — and rewritten into
-// fresh trees otherwise.
+// Expression trees, and the slices holding them, are shared with the
+// template when there are no arguments to substitute — the executor
+// compiles them read-only — and rewritten into fresh trees otherwise.
 func Rebind(n Node, snapshot uint64, args []types.Value) (Node, error) {
 	r := &rebinder{snapshot: snapshot, args: args}
 	out := r.node(n)
@@ -32,7 +32,7 @@ type rebinder struct {
 	err      error
 	// shared memoizes Shared-node clones: a CTE referenced twice must stay
 	// one node after cloning, or its materialization would run twice.
-	shared map[*Shared]*Shared
+	shared map[*Shared]Node
 }
 
 func (r *rebinder) fail(err error) {
@@ -81,8 +81,8 @@ func (r *rebinder) expr(e expr.Expr) expr.Expr {
 }
 
 func (r *rebinder) exprs(es []expr.Expr) []expr.Expr {
-	if es == nil {
-		return nil
+	if es == nil || len(r.args) == 0 {
+		return es
 	}
 	out := make([]expr.Expr, len(es))
 	for i, e := range es {
@@ -91,167 +91,76 @@ func (r *rebinder) exprs(es []expr.Expr) []expr.Expr {
 	return out
 }
 
+// node copies n and its subtree through WithChildren; only scans and the
+// nodes holding expressions need more than the copy.
 func (r *rebinder) node(n Node) Node {
 	if n == nil || r.err != nil {
 		return n
 	}
-	switch t := n.(type) {
-	case *Scan:
-		c := *t
-		c.Snapshot = r.snapshot
-		return &c
-
-	case *IndexScan:
-		c := *t
-		c.Snapshot = r.snapshot
-		if c.EqParam > 0 {
-			if c.EqParam > len(r.args) {
-				r.fail(fmt.Errorf("no argument bound for parameter $%d", c.EqParam))
-				return &c
-			}
-			key := r.args[c.EqParam-1]
-			// Coerce against the indexed column's declared type so the
-			// probe key compares like a stored value.
-			schema := c.Rel.Schema()
-			for _, ci := range schema {
-				if ci.Name == c.Column {
-					v, err := bindParamValue(key, ci.Type, c.EqParam)
-					if err != nil {
-						r.fail(err)
-						return &c
-					}
-					key = v
-					break
-				}
-			}
-			c.Eq = &key
-			c.EqParam = 0
+	if s, ok := n.(*Shared); ok {
+		if c, ok := r.shared[s]; ok {
+			return c
 		}
-		return &c
-
-	case *WorkingScan:
-		c := *t
-		return &c
-
-	case *Values:
-		c := *t
-		return &c
-
+		c := s.WithChildren([]Node{r.node(s.Child)})
+		if r.shared == nil {
+			r.shared = map[*Shared]Node{}
+		}
+		r.shared[s] = c
+		return c
+	}
+	kids := n.Children()
+	for i, k := range kids {
+		kids[i] = r.node(k)
+	}
+	c := n.WithChildren(kids)
+	switch t := c.(type) {
+	case *Scan:
+		t.Snapshot = r.snapshot
+	case *IndexScan:
+		t.Snapshot = r.snapshot
+		if t.EqParam > 0 {
+			r.bindEqParam(t)
+		}
 	case *Filter:
-		c := *t
-		c.Child = r.node(t.Child)
-		c.Pred = r.expr(t.Pred)
-		return &c
-
+		t.Pred = r.expr(t.Pred)
 	case *Project:
-		c := *t
-		c.Child = r.node(t.Child)
-		c.Exprs = r.exprs(t.Exprs)
-		return &c
-
+		t.Exprs = r.exprs(t.Exprs)
 	case *Join:
-		c := *t
-		c.L = r.node(t.L)
-		c.R = r.node(t.R)
-		c.On = r.expr(t.On)
-		c.Residual = r.expr(t.Residual)
-		return &c
-
+		t.On = r.expr(t.On)
+		t.Residual = r.expr(t.Residual)
 	case *Aggregate:
-		c := *t
-		c.Child = r.node(t.Child)
-		c.Keys = r.exprs(t.Keys)
+		t.Keys = r.exprs(t.Keys)
 		if len(r.args) > 0 && t.Aggs != nil {
 			aggs := make([]AggSpec, len(t.Aggs))
 			copy(aggs, t.Aggs)
 			for i := range aggs {
 				aggs[i].Arg = r.expr(aggs[i].Arg)
 			}
-			c.Aggs = aggs
+			t.Aggs = aggs
 		}
-		return &c
-
-	case *Sort:
-		c := *t
-		c.Child = r.node(t.Child)
-		return &c
-
-	case *Limit:
-		c := *t
-		c.Child = r.node(t.Child)
-		return &c
-
-	case *Distinct:
-		c := *t
-		c.Child = r.node(t.Child)
-		return &c
-
-	case *Union:
-		c := *t
-		c.L = r.node(t.L)
-		c.R = r.node(t.R)
-		return &c
-
-	case *RecursiveCTE:
-		c := *t
-		c.Init = r.node(t.Init)
-		c.Rec = r.node(t.Rec)
-		return &c
-
-	case *Iterate:
-		c := *t
-		c.Init = r.node(t.Init)
-		c.Step = r.node(t.Step)
-		c.Stop = r.node(t.Stop)
-		return &c
-
-	case *KMeans:
-		c := *t
-		c.Data = r.node(t.Data)
-		c.Centers = r.node(t.Centers)
-		return &c
-
-	case *KMeansAssign:
-		c := *t
-		c.Data = r.node(t.Data)
-		c.Centers = r.node(t.Centers)
-		return &c
-
-	case *PageRank:
-		c := *t
-		c.Edges = r.node(t.Edges)
-		return &c
-
-	case *NaiveBayesTrain:
-		c := *t
-		c.Data = r.node(t.Data)
-		return &c
-
-	case *NaiveBayesPredict:
-		c := *t
-		c.Model = r.node(t.Model)
-		c.Data = r.node(t.Data)
-		return &c
-
-	case *Alias:
-		c := *t
-		c.Child = r.node(t.Child)
-		return &c
-
-	case *Shared:
-		if c, ok := r.shared[t]; ok {
-			return c
-		}
-		c := &Shared{Invariant: t.Invariant}
-		if r.shared == nil {
-			r.shared = map[*Shared]*Shared{}
-		}
-		r.shared[t] = c
-		c.Child = r.node(t.Child)
-		return c
-
-	default:
-		r.fail(fmt.Errorf("cannot rebind plan node %T", n))
-		return n
 	}
+	return c
+}
+
+// bindEqParam fills an index probe's key from its parameter, coerced to
+// the indexed column's declared type so it compares like a stored value.
+func (r *rebinder) bindEqParam(s *IndexScan) {
+	if s.EqParam > len(r.args) {
+		r.fail(fmt.Errorf("no argument bound for parameter $%d", s.EqParam))
+		return
+	}
+	key := r.args[s.EqParam-1]
+	for _, ci := range s.Rel.Schema() {
+		if ci.Name == s.Column {
+			v, err := bindParamValue(key, ci.Type, s.EqParam)
+			if err != nil {
+				r.fail(err)
+				return
+			}
+			key = v
+			break
+		}
+	}
+	s.Eq = &key
+	s.EqParam = 0
 }

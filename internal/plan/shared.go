@@ -17,10 +17,11 @@ type Shared struct {
 	Invariant bool
 }
 
-func (s *Shared) Schema() types.Schema { return s.Child.Schema() }
-func (s *Shared) Quals() []string      { return s.Child.Quals() }
-func (s *Shared) Card() float64        { return s.Child.Card() }
-func (s *Shared) Children() []Node     { return []Node{s.Child} }
+func (s *Shared) Schema() types.Schema       { return s.Child.Schema() }
+func (s *Shared) Quals() []string            { return s.Child.Quals() }
+func (s *Shared) Card() float64              { return s.Child.Card() }
+func (s *Shared) Children() []Node           { return []Node{s.Child} }
+func (s *Shared) WithChildren(k []Node) Node { c := *s; c.Child = k[0]; return &c }
 func (s *Shared) Explain() string {
 	if s.Invariant {
 		return "Shared (invariant)"
